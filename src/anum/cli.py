@@ -130,8 +130,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_compute(args) -> int:
     params = _make_params(args.p, args.d, args.r)
-    if args.n < 1:
-        raise UsageError(f"n must be >= 1, got {args.n}")
+    if args.n < 0:
+        raise UsageError(f"n must be >= 0, got {args.n}")
     budget = _budget(args)
     lines = [f"p={params.p} d={params.d} r={params.r} n={args.n}"]
     brute = closed = None
@@ -347,7 +347,15 @@ def cmd_sweep(args) -> int:
     else:
         text = _csv_text([list(SWEEP_COLUMNS)] + cell_rows)
     _emit(text, args.out)
-    return EXIT_OK
+    failed = [row.error for row in rows if row.error]
+    if not failed:
+        return EXIT_OK
+    print(f"error: {len(failed)} of {len(rows)} sweep cells failed; first: "
+          f"{failed[0]}", file=sys.stderr)
+    budget_error = f"{BudgetExceededError.__name__}:"
+    if any(error.startswith(budget_error) for error in failed):
+        return EXIT_BUDGET
+    return EXIT_VERIFY
 
 
 def cmd_delta_table(args) -> int:

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .delta import TowerParams, delta0_average
 from .errors import InvariantViolationError, PreDelayError
@@ -76,11 +77,18 @@ def A_fn(x_inv: Fraction, p: int, n: int) -> Fraction:
             f"1/x_inv must have non-negative p-adic valuation, got {form.v}")
     den = form.den
     fp = frac_part_pn(x_inv, p, n)
+    head = (Fraction(-(den - 1), den) + x * (1 - fp)) * fp / 2
+    return head + _centred_frac_sums(x)[floor_pn_mod(x_inv, p, n, den)]
+
+
+@lru_cache(maxsize=16)
+def _centred_frac_sums(x: Fraction) -> tuple[Fraction, ...]:
+    """Entry M is sum_{k=1}^{M} ({x k} - (1 - 1/den)/2) for 0 <= M < den,
+    den the denominator of x: the partial sums A_fn reads."""
+    den = x.denominator
     avg = Fraction(den - 1, 2 * den)
-    total = (Fraction(-(den - 1), den) + x * (1 - fp)) * fp / 2
-    for k in range(1, floor_pn_mod(x_inv, p, n, den) + 1):
-        total += frac_part(x * k) - avg
-    return total
+    return tuple(accumulate((frac_part(x * k) - avg for k in range(1, den)),
+                            initial=Fraction(0)))
 
 
 def floor_sum_closed(x: Fraction | int, p: int, n: int) -> Fraction:
@@ -115,7 +123,7 @@ def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
     return params.delta0_prefix[m] - m * delta0_average(params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # a build reads two entries (tau and gamma), then none
 def _exponent_seqs(
     x: Fraction, params: TowerParams
 ) -> tuple[EventuallyPeriodicSeq, EventuallyPeriodicSeq]:
@@ -165,24 +173,18 @@ def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> Fraction
             + prefix_sum(f_seq, n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def delta_sum_linear_coeff(x: Fraction, params: TowerParams) -> Fraction:
     """Coefficient of n in the delta-sum closed form for this x:
 
         <F(1/x)> - <digits of 1/x> / (2p) * (1 - 1/tau_den)
 
-    with <F> averaged over one period past the delay.  Vanishes for x = tau.
+    with <F> averaged over one period past the delay (the cycle of the
+    F sequence).  Vanishes for x = tau.
     """
     p = params.p
-    form = p_adic_decompose(x, p)
-    start = max(0, form.v)
-    length = multiplicative_order(p, form.num)
-    x_inv = 1 / Fraction(x)
-    avg_f = sum(
-        (F_fn(x_inv, params, e) for e in range(start + 1, start + length + 1)),
-        Fraction(0),
-    ) / length
-    digit_avg = expand(x_inv, p).digit_average
+    avg_f = _exponent_seqs(Fraction(x), params)[1].average
+    digit_avg = expand(1 / Fraction(x), p).digit_average
     return avg_f - digit_avg / (2 * p) * (1 - Fraction(1, params.tau_den))
 
 
@@ -229,7 +231,7 @@ class ClosedFormModel:
     nu_table: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def closed_model(params: TowerParams) -> ClosedFormModel:
     """Build and self-check the closed form for one parameter set.
 

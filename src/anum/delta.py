@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InvariantViolationError
 from .exact_arith import PAdicForm, digit, is_prime, p_adic_decompose
@@ -176,10 +176,12 @@ def mu(params: TowerParams, i: int) -> int:
     return (params.p + 1) * i // params.d + delta(params, i)
 
 
+@lru_cache(maxsize=64)
 def delta0_average(params: TowerParams) -> Fraction:
     """Average of delta0 over one period: (1 - 1/p)(1 - 1/tau_den)/2.
 
-    Verified against the direct sum over one full period before returning.
+    Verified against the direct sum over one full period before returning;
+    the cache makes that a once-per-parameter-set check.
     """
     p, td = params.p, params.tau_den
     value = Fraction((p - 1) * (td - 1), 2 * p * td)

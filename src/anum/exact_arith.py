@@ -28,7 +28,7 @@ def format_rational(q: Rational | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic trial division.  Inputs in this package are small."""
     if n < 2:
@@ -58,17 +58,39 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 by trial division: {prime: exponent}."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/mZ)^*.  The trivial group (m = 1) gives 1."""
+    """Order of a in (Z/mZ)^*.  The trivial group (m = 1) gives 1.
+
+    The order divides phi(m): start from phi(m) and divide out each prime
+    q of it while a still has order dividing the quotient.  Cost is two
+    trial-division factorisations plus O(log^2 m) modular powers.
+    """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not invertible modulo {m}")
+    if m == 1:
+        return 1
     order = 1
-    x = a % m
-    while x != 1 % m:
-        x = x * a % m
-        order += 1
+    for q, k in _factor(m).items():
+        order *= q**(k - 1) * (q - 1)
+    for q in _factor(order):
+        while order % q == 0 and pow(a, order // q, m) == 1:
+            order //= q
     return order
 
 
@@ -166,12 +188,27 @@ class BasePExpansion:
             total += dig * Fraction(p) ** j
         for j, dig in enumerate(self.preperiod_digits, start=1):
             total += Fraction(dig, p**j)
-        block = 0
-        for dig in self.period_digits:
-            block = block * p + dig
         length = len(self.period_digits)
+        block = _digits_value(self.period_digits, p)
         total += Fraction(block, p**self.delay * (p**length - 1))
         return total
+
+
+def _digits_value(digits: tuple[int, ...], p: int) -> int:
+    """The integer whose base-p digits, most significant first, are digits.
+
+    Divide and conquer (hi * p^len(lo) + lo) keeps the big-integer
+    products balanced, where Horner's rule would be quadratic in the
+    number of digits.
+    """
+    if len(digits) <= 64:
+        value = 0
+        for dig in digits:
+            value = value * p + dig
+        return value
+    mid = len(digits) // 2
+    lo = digits[mid:]
+    return _digits_value(digits[:mid], p) * p**len(lo) + _digits_value(lo, p)
 
 
 def expand(x: Rational | int, p: int) -> BasePExpansion:
@@ -204,13 +241,15 @@ def expand(x: Rational | int, p: int) -> BasePExpansion:
 
 def frac_part_pn(x: Rational | int, p: int, n: int) -> Fraction:
     """{x * p^n}.  Periodic in n once n clears the delay of x, with period
-    equal to the digit period and average digit_average/(p-1)."""
+    equal to the digit period and average digit_average/(p-1).  With
+    x = a/b this is (a*p^n mod b)/b, so p^n is only needed modulo b."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
-    return frac_part(x * p**n)
+    b = x.denominator
+    return Fraction(x.numerator * pow(p, n, b) % b, b)
 
 
 def floor_pn_mod(x: Rational | int, p: int, n: int, m: int) -> int:
@@ -218,6 +257,8 @@ def floor_pn_mod(x: Rational | int, p: int, n: int, m: int) -> int:
 
     Periodic in n with the digit period of x: from the delay on when m
     divides the prime-to-p numerator of x, and one step later for m = p.
+    With x = a/b, a*p^n mod b*m is b*(floor(x*p^n) mod m) + (a*p^n mod b),
+    so p^n is only ever needed modulo b*m.
     """
     if m <= 0:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -226,4 +267,5 @@ def floor_pn_mod(x: Rational | int, p: int, n: int, m: int) -> int:
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
-    return x.numerator * p**n // x.denominator % m
+    bm = x.denominator * m
+    return x.numerator * pow(p, n, bm) % bm // x.denominator

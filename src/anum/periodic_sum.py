@@ -1,9 +1,10 @@
-"""Prefix sums of eventually periodic rational sequences in O(delay + period).
+"""Prefix sums of eventually periodic rational sequences in O(1).
 
-A sequence is stored as an explicit head (terms 1 .. delay) followed by a
-cycle that repeats forever.  The prefix sum splits N terms into the head,
-whole cycles (each contributing period * average), and a partial cycle of
-corrections against the average, so the cost never depends on N.
+A sequence is an explicit head (terms 1 .. delay) followed by a cycle that
+repeats forever.  It is stored as the cumulative sums of the head and one
+cycle, computed once in O(delay + period) in place of the terms.  A prefix
+sum then splits N terms into the head and one partial cycle, read from that
+table, plus whole cycles, so a call costs O(1) whatever N is.
 
 Sequences are strictly 1-indexed here; callers whose natural index starts
 at 0 shift by one at the call site.
@@ -13,50 +14,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EventuallyPeriodicSeq:
-    """1-indexed: term i is head[i-1] for i <= delay, then the cycle repeats."""
+    """1-indexed: term i is head[i-1] for i <= delay, then the cycle repeats.
 
-    head: tuple[Fraction, ...]
-    cycle: tuple[Fraction, ...]
+    Only the cumulative sums are kept: sums[k] is the sum of terms 1..k
+    for 0 <= k <= delay + period.  head and cycle are recovered from them.
+    """
 
-    def __post_init__(self):
-        if not self.cycle:
+    delay: int
+    sums: tuple[Fraction, ...]
+
+    def __init__(self, head: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
+        if not cycle:
             raise ValueError("cycle must be non-empty")
-
-    @property
-    def delay(self) -> int:
-        return len(self.head)
+        object.__setattr__(self, "delay", len(head))
+        object.__setattr__(self, "sums", tuple(
+            accumulate((*head, *cycle), initial=Fraction(0))))
 
     @property
     def period(self) -> int:
-        return len(self.cycle)
+        return len(self.sums) - 1 - self.delay
+
+    @property
+    def head(self) -> tuple[Fraction, ...]:
+        return _steps(self.sums[:self.delay + 1])
+
+    @property
+    def cycle(self) -> tuple[Fraction, ...]:
+        return _steps(self.sums[self.delay:])
 
     @property
     def average(self) -> Fraction:
-        return sum(self.cycle, Fraction(0)) / len(self.cycle)
+        return (self.sums[-1] - self.sums[self.delay]) / self.period
+
+
+def _steps(sums: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
 def term(seq: EventuallyPeriodicSeq, i: int) -> Fraction:
     """Term i (1-indexed)."""
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    if i <= seq.delay:
-        return seq.head[i - 1]
-    return seq.cycle[(i - seq.delay - 1) % seq.period]
+    if i > seq.delay:
+        i = seq.delay + 1 + (i - seq.delay - 1) % seq.period
+    return seq.sums[i] - seq.sums[i - 1]
 
 
 def prefix_sum(seq: EventuallyPeriodicSeq, count: int) -> Fraction:
     """Sum of terms 1..count, in time independent of count."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count <= seq.delay:
-        return sum(seq.head[:count], Fraction(0))
-    in_cycle = count - seq.delay
-    avg = seq.average
-    total = sum(seq.head, Fraction(0)) + in_cycle * avg
-    for k in range(in_cycle % seq.period):
-        total += seq.cycle[k] - avg
-    return total
+    sums, delay = seq.sums, seq.delay
+    if count < len(sums):
+        return sums[count]
+    whole, part = divmod(count - delay, seq.period)
+    return sums[delay + part] + whole * (sums[-1] - sums[delay])

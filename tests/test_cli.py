@@ -6,6 +6,13 @@ import json
 
 import pytest
 
+import anum.analysis
+from anum import (
+    InvariantViolationError,
+    TowerParams,
+    a_number_bruteforce,
+    closed_model,
+)
 from anum.cli import main
 
 DELTA_TABLE_P5_D4 = {
@@ -54,6 +61,30 @@ def test_compute_closed_below_delay(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "n=2" in err and "3" in err
+
+
+def test_compute_accepts_n_zero(capsys):
+    for p, d, r in ((5, 4, 2), (7, 6, 4), (13, 12, 7), (13, 6, 5)):
+        params = TowerParams(p, d, r)
+        assert closed_model(params).delay == 0
+        code, out, err = run(capsys, "compute", "-p", str(p), "-d", str(d),
+                             "-r", str(r), "-n", "0", "--method", "both")
+        brute = a_number_bruteforce(params, 0).total
+        assert code == 0 and err == ""
+        assert f"brute = {brute}" in out
+        assert f"closed = {brute}" in out
+        assert out.splitlines()[-1] == "AGREE"
+
+
+def test_compute_n_zero_below_delay_and_negative_n(capsys):
+    code, out, err = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "61",
+                         "-n", "0", "--method", "closed")
+    assert code == 2 and out == ""
+    assert err.startswith("error: closed form is not valid for n=0")
+    code, out, err = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                         "-n", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n must be >= 0" in err
 
 
 def test_compute_both_below_delay_keeps_brute(capsys):
@@ -175,6 +206,42 @@ def test_sweep_csv_to_file(capsys, tmp_path):
     assert [row[2] for row in rows[1:]] == ["1", "2", "3", "4"]
     l_col = rows[0].index("L")
     assert [row[l_col] for row in rows[1:]] == ["1", "3", "3", "5"]
+
+
+def test_sweep_budget_failures_exit_3_after_writing_rows(capsys, tmp_path):
+    out_file = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "sweep", "--p-list", "5", "--d-mode",
+                         "list:4", "--r-max", "3", "--budget", "1",
+                         "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 3 of 3 sweep cells failed")
+    assert err.count("\n") == 1
+    rows = list(csv.reader(io.StringIO(out_file.read_text(encoding="utf-8"))))
+    assert [row[2] for row in rows[1:]] == ["1", "2", "3"]
+    error_col = rows[0].index("error")
+    assert all(row[error_col].startswith("BudgetExceededError:")
+               for row in rows[1:])
+
+
+def test_sweep_cell_failure_exits_1_after_writing_rows(capsys, monkeypatch):
+    measure = anum.analysis.minimal_period
+
+    def failing(params, *args, **kwargs):
+        if params.r == 2:
+            raise InvariantViolationError("tampered cell")
+        return measure(params, *args, **kwargs)
+
+    monkeypatch.setattr(anum.analysis, "minimal_period", failing)
+    code, out, err = run(capsys, "sweep", "--p-list", "5", "--d-mode",
+                         "list:2", "--r-max", "3", "--format", "csv")
+    assert code == 1
+    assert err == ("error: 1 of 3 sweep cells failed; first: "
+                   "InvariantViolationError: tampered cell\n")
+    rows = list(csv.reader(io.StringIO(out)))
+    error_col = rows[0].index("error")
+    assert [row[error_col] for row in rows[1:]] == [
+        "", "InvariantViolationError: tampered cell", ""]
 
 
 def test_sweep_empty_range_gives_header_only(capsys):

@@ -1,12 +1,15 @@
 """Closed forms against term-by-term summation and pinned residue tables."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
+import anum.closed_form
 from anum import (
     A_fn,
     F_fn,
+    InvariantViolationError,
     PreDelayError,
     TowerParams,
     a_number_bruteforce,
@@ -278,3 +281,68 @@ def test_quadratic_coefficient_wiring_check():
         p, d, r = params.p, params.d, params.r
         assert model.quad_coeff == Fraction(
             d * r * (p - 1), 2 * (p + 1) * ((p - 1) * r + p + 1))
+
+
+def test_every_cache_is_bounded():
+    cached = {}
+    for layer in ("exact_arith", "periodic_sum", "delta", "lattice",
+                  "closed_form", "analysis", "cli"):
+        module = importlib.import_module(f"anum.{layer}")
+        cached.update((f"{layer}.{name}", obj) for name, obj in vars(module).items()
+                      if hasattr(obj, "cache_info"))
+    assert "closed_form.closed_model" in cached
+    for name, cache in cached.items():
+        assert cache.cache_info().maxsize is not None, name
+
+
+def test_closed_model_rebuilds_equal_after_eviction():
+    first = TowerParams(3, 2, 1)
+    model = closed_model(first)
+    size = closed_model.cache_info().maxsize
+    for r in range(2, size + 3):
+        closed_model(TowerParams(3, 2, r))
+    assert closed_model.cache_info().currsize <= size
+    misses = closed_model.cache_info().misses
+    rebuilt = closed_model(first)
+    assert closed_model.cache_info().misses == misses + 1
+    assert rebuilt == model and rebuilt is not model
+
+
+class SwappedSlope(TowerParams):
+    """Wires (p-1)/d where the slope (p+1)/d belongs."""
+
+    @property
+    def tau(self):
+        return Fraction(self.p - 1, self.d)
+
+
+class MiscountedDelta0(TowerParams):
+    """delta0 prefix sums that count one extra indicator at the end."""
+
+    @property
+    def delta0_prefix(self):
+        sums = TowerParams(self.p, self.d, self.r).delta0_prefix
+        return sums[:-1] + (sums[-1] + 1,)
+
+
+def test_closed_model_self_checks_raise(monkeypatch):
+    build = closed_model.__wrapped__  # bypass the cache: always a fresh build
+    with pytest.raises(InvariantViolationError, match="quadratic"):
+        build(SwappedSlope(5, 4, 2))
+    with pytest.raises(InvariantViolationError, match="delta0 average"):
+        delta0_average(MiscountedDelta0(7, 6, 1))
+    model = build(P5D4R2)
+    period = model.claimed_period
+    nu_value = anum.closed_form.nu_value
+    tampers = (
+        ("periodic", lambda n, v: v + Fraction(1, 7) * (n == period + 1)),
+        ("non-integral", lambda n, v: v + Fraction(1, 2)),
+        ("negative value -", lambda n, v: v - 10**9),
+    )
+    for message, change in tampers:
+        monkeypatch.setattr(anum.closed_form, "nu_value",
+                            lambda params, n: change(n, nu_value(params, n)))
+        with pytest.raises(InvariantViolationError, match=message):
+            build(P5D4R2)
+    monkeypatch.undo()
+    assert build(P5D4R2) == model

@@ -1,11 +1,13 @@
 """Digit machinery: pinned examples plus randomized round trips."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from anum import (
+    TowerParams,
     digit,
     divisors,
     expand,
@@ -183,6 +185,55 @@ def test_multiplicative_order():
     assert multiplicative_order(3, 8) == 2
     with pytest.raises(ValueError):
         multiplicative_order(5, 10)
+
+
+def naive_order(a, m):
+    """Order of a modulo m by stepping through its powers."""
+    order, x = 1, a % m
+    while x != 1 % m:
+        x = x * a % m
+        order += 1
+    return order
+
+
+def test_multiplicative_order_matches_naive_loop():
+    for m in range(1, 3001):
+        for a in (3, 5, 7, 13, 61):
+            if math.gcd(a, m) == 1:
+                assert multiplicative_order(a, m) == naive_order(a, m), (a, m)
+    with pytest.raises(ValueError):
+        multiplicative_order(61, 122)
+    with pytest.raises(ValueError):
+        multiplicative_order(3, 0)
+
+
+def big_int_frac_part(x, p, n):
+    q = x * p**n
+    return q - q.numerator // q.denominator
+
+
+def big_int_floor_mod(x, p, n, m):
+    return x.numerator * p**n // x.denominator % m
+
+
+def test_modular_fast_paths_match_big_int_definitions():
+    xs = []
+    for p, d, r in ((5, 4, 61), (5, 4, 2), (7, 6, 4), (13, 12, 7), (3, 2, 1)):
+        params = TowerParams(p, d, r)
+        xs += [(p, params.tau_den, 1 / params.gamma),
+               (p, params.tau_den, 1 / params.tau)]
+    assert TowerParams(5, 4, 61).gamma_vp > 0
+    rng = random.Random(2106)
+    for _ in range(20):
+        p = rng.choice((3, 5, 7, 13))
+        x = Fraction(rng.randint(1, 10**4), rng.randint(1, 10**3) * p**rng.randint(0, 3))
+        xs.append((p, rng.randint(1, 12), x))
+    for p, tau_den, x in xs:
+        for n in range(201):
+            assert frac_part_pn(x, p, n) == big_int_frac_part(x, p, n), (x, p, n)
+            for m in (p, x.denominator, tau_den, tau_den * p):
+                assert (floor_pn_mod(x, p, n, m)
+                        == big_int_floor_mod(x, p, n, m)), (x, p, n, m)
 
 
 def test_is_prime_and_divisors():

@@ -59,6 +59,24 @@ def test_prefix_sum_matches_naive_randomized():
             assert prefix_sum(seq, n) == running
 
 
+def test_prefix_sum_matches_term_by_term_oracle():
+    # the oracle reads terms straight from the head and cycle lists
+    rng = random.Random(3003)
+    for _ in range(150):
+        head = [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                for _ in range(rng.randint(0, 6))]
+        cycle = [Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                 for _ in range(rng.randint(1, 15))]
+        seq = EventuallyPeriodicSeq(head=tuple(head), cycle=tuple(cycle))
+        assert seq.head == tuple(head) and seq.cycle == tuple(cycle)
+        assert seq.average == sum(cycle) / len(cycle)
+        terms = head + cycle * 4
+        running = Fraction(0)
+        for count in range(len(head) + 3 * len(cycle) + 1):
+            assert prefix_sum(seq, count) == running, count
+            running += terms[count]
+
+
 def test_prefix_sum_period_shift():
     rng = random.Random(3002)
     for _ in range(40):
