@@ -1,11 +1,14 @@
-"""Empirical period and delay measurement, pairing checks, and the sweep.
+"""Period and delay measurement, pairing checks, and the sweep.
 
 The closed form guarantees the constant term is periodic with period
 dividing lcm(order of p mod gamma_num, 2) once n clears v_p(gamma), but
 the minimal period is often smaller and the true delay can be too.  The
-functions here measure both over a finite window: residuals
-a(n) - quad*p^{2n} - lam*n come from brute force below the delay (where
-the closed form is not trusted) and from the verified nu table above it.
+minimal period is read off the nu table, whose periodicity closed_model
+checked over two bound periods past the delay; brute force supplies the
+residuals a(n) - quad*p^{2n} - lam*n below the delay, where the closed
+form is not trusted, and is checked against the table at the delay and
+one step past it.  Certifying the period from an independent oracle is
+ROADMAP item 3.
 
 The pairing r -> (r+1)p + 1 multiplies gamma by p, so the linear
 coefficients agree and the delay grows by exactly one; whether the
@@ -15,13 +18,13 @@ data and never asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .closed_form import ClosedFormModel, closed_model, lambda_r
+from .closed_form import closed_model, lambda_r, minimal_nu_period
 from .delta import TowerParams
 from .errors import InvariantViolationError
-from .exact_arith import divisors, multiplicative_order
+from .exact_arith import multiplicative_order
 from .lattice import a_number_bruteforce
 
 
@@ -50,7 +53,6 @@ class PeriodReport:
     lambda_integral: bool
     pairing_partner: int
     nu_values: tuple[Fraction, ...]
-    window_periods: int
 
     def __post_init__(self):
         if self.lcm_bound % self.minimal_period != 0:
@@ -59,50 +61,39 @@ class PeriodReport:
                 f"bound {self.lcm_bound}")
 
 
-def _residuals(params: TowerParams, model: ClosedFormModel, end: int,
-               budget: int | None) -> dict[int, Fraction]:
-    """Residuals a(n) - quad*p^{2n} - lam*n for 0 <= n < end: brute force
-    through the delay (plus one overlap point), nu table beyond."""
-    p = params.p
-    res: dict[int, Fraction] = {
-        n: model.nu_table[n % model.claimed_period]
-        for n in range(model.delay, end)
-    }
-    for n in range(min(model.delay + 2, end)):
-        total = a_number_bruteforce(params, n, budget).total
-        value = total - model.quad_coeff * p**(2 * n) - model.lam * n
-        if n >= model.delay and value != res[n]:
-            raise InvariantViolationError(
-                f"brute-force residual at n={n} disagrees with the nu table")
-        res.setdefault(n, value)
-    return res
-
-
-def minimal_period(params: TowerParams, window_periods: int = 3,
+def minimal_period(params: TowerParams,
                    budget: int | None = None) -> PeriodReport:
     """Measure the minimal period and delay of the residual sequence.
 
-    Certification is over a finite window of (window_periods + 1) bound
-    periods past the delay; one bound period already certifies because the
-    true period divides the bound, the extra periods guard implementation
-    bugs.  The window is recorded in the report.
+    The period is the smallest divisor of the bound under which the nu
+    table is invariant; that table's periodicity was checked by
+    closed_model over two bound periods, and nothing here certifies it
+    independently (ROADMAP item 3).  Brute force gives the residuals for
+    n = 0 .. delay+1 and must match the table at delay and delay+1.  The
+    delay is then walked down while the residual one period later, read
+    from brute force below the formula delay and from the table at and
+    past it, still agrees.
     """
-    if window_periods < 1:
-        raise ValueError(f"window_periods must be >= 1, got {window_periods}")
     model = closed_model(params)
     bound = model.claimed_period
     start = model.delay
-    end = start + (window_periods + 1) * bound
-    res = _residuals(params, model, end, budget)
+    table = model.nu_table
+    p = params.p
+    brute = []
+    for n in range(start + 2):
+        total = a_number_bruteforce(params, n, budget).total
+        value = total - model.quad_coeff * p**(2 * n) - model.lam * n
+        if n >= start and value != table[n % bound]:
+            raise InvariantViolationError(
+                f"brute-force residual at n={n} disagrees with the nu table")
+        brute.append(value)
 
-    period = bound
-    for cand in divisors(bound):
-        if all(res[n] == res[n + cand] for n in range(start, end - cand)):
-            period = cand
-            break
+    def residual(n: int) -> Fraction:
+        return brute[n] if n < start else table[n % bound]
 
+    period = minimal_nu_period(model)
     delay = start
-    while delay > 0 and res[delay - 1] == res[delay - 1 + period]:
+    while delay > 0 and residual(delay - 1) == residual(delay - 1 + period):
         delay -= 1
 
     lam = model.lam
@@ -110,7 +101,7 @@ def minimal_period(params: TowerParams, window_periods: int = 3,
     return PeriodReport(
         params=params,
         lcm_bound=bound,
-        gamma_period=multiplicative_order(params.p, params.gamma_num),
+        gamma_period=multiplicative_order(p, params.gamma_num),
         minimal_period=period,
         half_case=(2 * period == bound),
         formula_delay=start,
@@ -118,17 +109,9 @@ def minimal_period(params: TowerParams, window_periods: int = 3,
         lambda_value=lam,
         lambda_times_period=lam_times,
         lambda_integral=(lam_times.denominator == 1),
-        pairing_partner=(params.r + 1) * params.p + 1,
-        nu_values=model.nu_table[:period],
-        window_periods=window_periods,
+        pairing_partner=(params.r + 1) * p + 1,
+        nu_values=table[:period],
     )
-
-
-def check_lambda_integrality(params: TowerParams, window_periods: int = 3,
-                             budget: int | None = None) -> tuple[Fraction, bool]:
-    """lambda times the measured minimal period, with its integrality flag."""
-    report = minimal_period(params, window_periods, budget)
-    return report.lambda_times_period, report.lambda_integral
 
 
 @dataclass(frozen=True)
@@ -136,8 +119,8 @@ class PairingRecord:
     """Comparison of r0 against its partner r1 = (r0+1)p + 1.
 
     The linear-coefficient and delay relations are theorems and are
-    asserted on construction; equality of the measured minimal periods is
-    open and only recorded.
+    asserted on construction.  Equality of the measured minimal periods
+    is open; the sweep records it as data (partner_period_equal).
     """
 
     r0: int
@@ -146,9 +129,6 @@ class PairingRecord:
     lambda1: Fraction
     delay0: int
     delay1: int
-    period0: int | None
-    period1: int | None
-    periods_equal: bool | None
 
     def __post_init__(self):
         if self.lambda1 != self.lambda0:
@@ -161,18 +141,10 @@ class PairingRecord:
                 f"{self.delay1} for r0={self.r0}, r1={self.r1}")
 
 
-def check_pairing(params: TowerParams, measure_periods: bool = True,
-                  window_periods: int = 3,
-                  budget: int | None = None) -> PairingRecord:
+def check_pairing(params: TowerParams) -> PairingRecord:
     """Compare params against its pairing partner."""
     r1 = (params.r + 1) * params.p + 1
     other = TowerParams(params.p, params.d, r1)
-    period0 = period1 = None
-    equal = None
-    if measure_periods:
-        period0 = minimal_period(params, window_periods, budget).minimal_period
-        period1 = minimal_period(other, window_periods, budget).minimal_period
-        equal = period0 == period1
     return PairingRecord(
         r0=params.r,
         r1=r1,
@@ -180,59 +152,43 @@ def check_pairing(params: TowerParams, measure_periods: bool = True,
         lambda1=lambda_r(other),
         delay0=params.gamma_vp,
         delay1=other.gamma_vp,
-        period0=period0,
-        period1=period1,
-        periods_equal=equal,
     )
+
+
+def _column(name: str):
+    return field(default=None, metadata={"column": name})
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep cell.  All data fields are None when `error` is set."""
+    """One sweep cell; the fields, in order, are the sweep's columns, named
+    as in SWEEP_COLUMNS.  All data fields are None when `error` is set."""
 
     p: int
     d: int
     r: int
     quad: Fraction | None = None
-    lam: Fraction | None = None
-    formula_delay: int | None = None
+    lam: Fraction | None = _column("lambda")
+    formula_delay: int | None = _column("N_r")
     minimal_delay: int | None = None
     lcm_bound: int | None = None
-    gamma_period: int | None = None
-    minimal_period: int | None = None
+    gamma_period: int | None = _column("L_gamma_inv")
+    minimal_period: int | None = _column("L")
     half_case: bool | None = None
-    lambda_times_period: Fraction | None = None
+    lambda_times_period: Fraction | None = _column("lambda_times_L")
     lambda_integral: bool | None = None
     partner_r: int | None = None
     partner_lambda_equal: bool | None = None
     partner_delay_shift: int | None = None
-    partner_period: int | None = None
+    partner_period: int | None = _column("partner_L")
     partner_period_equal: bool | None = None
     error: str = ""
 
 
-SWEEP_COLUMNS = (
-    "p", "d", "r", "quad", "lambda", "N_r", "minimal_delay", "lcm_bound",
-    "L_gamma_inv", "L", "half_case", "lambda_times_L", "lambda_integral",
-    "partner_r", "partner_lambda_equal", "partner_delay_shift",
-    "partner_L", "partner_period_equal", "error",
-)
+SWEEP_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(SweepRow))
 
 
-def sweep_row_cells(row: SweepRow) -> tuple:
-    """Row values in SWEEP_COLUMNS order (raw, not yet stringified)."""
-    return (
-        row.p, row.d, row.r, row.quad, row.lam, row.formula_delay,
-        row.minimal_delay, row.lcm_bound, row.gamma_period,
-        row.minimal_period, row.half_case, row.lambda_times_period,
-        row.lambda_integral, row.partner_r, row.partner_lambda_equal,
-        row.partner_delay_shift, row.partner_period,
-        row.partner_period_equal, row.error,
-    )
-
-
-def sweep(entries, window_periods: int = 3, budget: int | None = None,
-          measure_partner_periods: bool = True) -> list[SweepRow]:
+def sweep(entries, budget: int | None = None) -> list[SweepRow]:
     """One row per (p, d, r), in lexicographic order.
 
     Cell failures are recorded in the row's error column and the sweep
@@ -243,9 +199,9 @@ def sweep(entries, window_periods: int = 3, budget: int | None = None,
     for p, d, r in keys:
         try:
             params = TowerParams(p, d, r)
-            report = minimal_period(params, window_periods, budget)
-            pairing = check_pairing(params, measure_partner_periods,
-                                    window_periods, budget)
+            report = minimal_period(params, budget)
+            pairing = check_pairing(params)
+            partner = minimal_period(TowerParams(p, d, pairing.r1), budget)
             rows.append(SweepRow(
                 p=p, d=d, r=r,
                 quad=closed_model(params).quad_coeff,
@@ -261,8 +217,9 @@ def sweep(entries, window_periods: int = 3, budget: int | None = None,
                 partner_r=pairing.r1,
                 partner_lambda_equal=pairing.lambda1 == pairing.lambda0,
                 partner_delay_shift=pairing.delay1 - pairing.delay0,
-                partner_period=pairing.period1,
-                partner_period_equal=pairing.periods_equal,
+                partner_period=partner.minimal_period,
+                partner_period_equal=(partner.minimal_period
+                                      == report.minimal_period),
             ))
         except Exception as exc:  # cell failures are data, not aborts
             rows.append(SweepRow(p=p, d=d, r=r,

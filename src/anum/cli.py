@@ -16,9 +16,10 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import astuple
 from fractions import Fraction
 
-from .analysis import SWEEP_COLUMNS, sweep, sweep_row_cells
+from .analysis import SWEEP_COLUMNS, sweep
 from .closed_form import (
     closed_model,
     delta_sum_linear_coeff,
@@ -91,6 +92,19 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _int_text(value: int) -> str:
+    """str(value) in full, past the int-to-str digit limit that Python
+    3.11+ sets; the limit is lifted for this conversion only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _json_cell(value):
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -105,11 +119,22 @@ def _md_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(rows) -> str:
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerows(rows)
-    return sink.getvalue()
+def _render(columns, rows, fmt, *, head=None, transpose=False) -> str:
+    """One table as text.  JSON is {**head, "columns", "rows"} with raw
+    values; markdown puts each column on a line when transpose is set."""
+    if fmt == "json":
+        payload = dict(head or {})
+        payload["columns"] = list(columns)
+        payload["rows"] = [[_json_cell(v) for v in row] for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    table = [list(columns)] + [[_cell(v) for v in row] for row in rows]
+    if fmt == "csv":
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\n").writerows(table)
+        return sink.getvalue()
+    if transpose:
+        table = [list(line) for line in zip(*table)]
+    return _md_table(table)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,7 +162,7 @@ def cmd_compute(args) -> int:
     brute = closed = None
     if args.method in ("brute", "both"):
         brute = a_number_bruteforce(params, args.n, budget).total
-        lines.append(f"brute = {brute}")
+        lines.append(f"brute = {_int_text(brute)}")
     if args.method in ("closed", "both"):
         model = closed_model(params)
         if args.n < model.delay:
@@ -148,7 +173,7 @@ def cmd_compute(args) -> int:
             lines.append(f"closed = n/a (n < N_r = {model.delay})")
         else:
             closed = evaluate(model, args.n)
-            lines.append(f"closed = {closed}")
+            lines.append(f"closed = {_int_text(closed)}")
     status = EXIT_OK
     if args.method == "both" and closed is not None:
         if brute == closed:
@@ -162,26 +187,21 @@ def cmd_compute(args) -> int:
 
 def cmd_formula(args) -> int:
     params = _make_params(args.p, args.d, args.r)
-    model = closed_model(params)
-    data = model_to_dict(model, minimal=True)
+    data = model_to_dict(closed_model(params))
+    period, nu = data["period"], data["nu"]
     if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", None)
+        text = json.dumps(data, indent=2) + "\n"
     elif args.format == "csv":
-        header = ["p", "d", "r", "quad", "lambda", "N_r", "period"]
-        row = [str(data[k]) for k in header]
-        for j, value in enumerate(data["nu"]):
-            header.append(f"nu{j}")
-            row.append(value)
-        _emit(_csv_text([header, row]), None)
+        columns = ["p", "d", "r", "quad", "lambda", "N_r", "period"]
+        row = [data[k] for k in columns] + nu
+        text = _render(columns + [f"nu{j}" for j in range(period)], [row], "csv")
     else:
-        period = data["period"]
-        print(f"p={params.p} d={params.d} r={params.r}: "
-              f"value = {data['quad']} * {params.p}^(2n) + {data['lambda']} * n"
-              f" + nu(n)  for n >= {data['N_r']}")
-        print()
-        rows = [[f"n mod {period}"] + [str(j) for j in range(period)],
-                ["nu(n)"] + list(data["nu"])]
-        sys.stdout.write(_md_table(rows))
+        text = (f"p={params.p} d={params.d} r={params.r}: "
+                f"value = {data['quad']} * {params.p}^(2n) + {data['lambda']} * n"
+                f" + nu(n)  for n >= {data['N_r']}\n\n"
+                + _render([f"n mod {period}", "nu(n)"], enumerate(nu),
+                          "markdown", transpose=True))
+    _emit(text, None)
     return EXIT_OK
 
 
@@ -333,20 +353,8 @@ def cmd_sweep(args) -> int:
             for p in primes
             for d in _d_values(args.d_mode, p)
             for r in range(1, args.r_max + 1)]
-    rows = sweep(grid, window_periods=args.window_periods, budget=_budget(args))
-    cell_rows = [[_cell(v) for v in sweep_row_cells(row)] for row in rows]
-    if args.format == "json":
-        payload = {
-            "columns": list(SWEEP_COLUMNS),
-            "rows": [[_json_cell(v) for v in sweep_row_cells(row)]
-                     for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "markdown":
-        text = _md_table([list(SWEEP_COLUMNS)] + cell_rows)
-    else:
-        text = _csv_text([list(SWEEP_COLUMNS)] + cell_rows)
-    _emit(text, args.out)
+    rows = sweep(grid, budget=_budget(args))
+    _emit(_render(SWEEP_COLUMNS, map(astuple, rows), args.format), args.out)
     failed = [row.error for row in rows if row.error]
     if not failed:
         return EXIT_OK
@@ -362,31 +370,10 @@ def cmd_delta_table(args) -> int:
     params = _make_params(args.p, args.d, 1)  # r does not enter the indicators
     if args.i_max < 1:
         raise UsageError(f"--i-max must be >= 1, got {args.i_max}")
-    cols = range(1, args.i_max + 1)
-    table = {
-        "delta": [delta(params, i) for i in cols],
-        "delta0": [delta0(params, i) for i in cols],
-        "delta_tilde": [delta_tilde(params, i) for i in cols],
-    }
-    if args.format == "json":
-        payload = {
-            "p": params.p,
-            "d": params.d,
-            "columns": ["i", "delta", "delta0", "delta_tilde"],
-            "rows": [[i, table["delta"][i - 1], table["delta0"][i - 1],
-                      table["delta_tilde"][i - 1]] for i in cols],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = [["i", "delta", "delta0", "delta_tilde"]]
-        rows += [[str(i), str(table["delta"][i - 1]), str(table["delta0"][i - 1]),
-                  str(table["delta_tilde"][i - 1])] for i in cols]
-        text = _csv_text(rows)
-    else:
-        rows = [["i"] + [str(i) for i in cols]]
-        for name in ("delta", "delta0", "delta_tilde"):
-            rows.append([name] + [str(v) for v in table[name]])
-        text = _md_table(rows)
+    rows = [(i, delta(params, i), delta0(params, i), delta_tilde(params, i))
+            for i in range(1, args.i_max + 1)]
+    text = _render(("i", "delta", "delta0", "delta_tilde"), rows, args.format,
+                   head={"p": params.p, "d": params.d}, transpose=True)
     _emit(text, None)
     return EXIT_OK
 
@@ -430,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--r-max", type=int, required=True)
     swp.add_argument("--format", choices=FORMATS, default="csv")
     swp.add_argument("--out", default=None)
-    swp.add_argument("--window-periods", type=int, default=3)
     swp.add_argument("--budget", type=int, default=None)
     swp.set_defaults(func=cmd_sweep)
 
@@ -455,7 +441,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (UsageError, PreDelayError, ValueError) as exc:
+    except (UsageError, PreDelayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -327,18 +327,10 @@ def special_r_eq_p_plus_1(params: TowerParams) -> ClosedFormModel:
                            delay=1, claimed_period=1, nu_table=(nu,))
 
 
-def model_to_dict(model: ClosedFormModel, minimal: bool = True) -> dict:
-    """JSON-ready rendering: {p, d, r, quad, lambda, N_r, period, nu}.
-
-    With minimal=True the nu table is cut to its minimal period (the
-    default for display); otherwise the full claimed period is kept.
-    """
-    if minimal:
-        period = minimal_nu_period(model)
-        nu = model.nu_table[:period]
-    else:
-        period = model.claimed_period
-        nu = model.nu_table
+def model_to_dict(model: ClosedFormModel) -> dict:
+    """JSON-ready rendering: {p, d, r, quad, lambda, N_r, period, nu}, with
+    the nu table cut to its minimal period."""
+    nu = reduced_nu_table(model)
     return {
         "p": model.params.p,
         "d": model.params.d,
@@ -346,6 +338,6 @@ def model_to_dict(model: ClosedFormModel, minimal: bool = True) -> dict:
         "quad": format_rational(model.quad_coeff),
         "lambda": format_rational(model.lam),
         "N_r": model.delay,
-        "period": period,
+        "period": len(nu),
         "nu": [format_rational(v) for v in nu],
     }

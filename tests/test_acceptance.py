@@ -210,7 +210,7 @@ def test_criterion_09_structural_laws():
                 bound_violations.append(
                     (params.p, params.d, params.r, str(report.lambda_value),
                      report.lcm_bound, str(at_bound)))
-            pairing = check_pairing(params, measure_periods=False)
+            pairing = check_pairing(params)
             assert pairing.lambda1 == pairing.lambda0
             assert pairing.delay1 == pairing.delay0 + 1
         # fail with the complete list of offending cells

@@ -1,12 +1,15 @@
 """Period/delay measurement, pairing relations, and the sweep."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import anum.analysis
 from anum import (
+    InvariantViolationError,
+    PairingRecord,
     TowerParams,
-    check_lambda_integrality,
     check_pairing,
     closed_model,
     minimal_period,
@@ -54,12 +57,12 @@ def test_minimal_delay_never_exceeds_formula_delay():
 
 
 def test_check_lambda_integrality():
-    value, integral = check_lambda_integrality(TowerParams(5, 4, 2))
-    assert value == 1 and integral
-    value, integral = check_lambda_integrality(TowerParams(5, 2, 9))
-    assert value == 0 and integral
-    value, integral = check_lambda_integrality(TowerParams(5, 4, 61))
-    assert value == 0 and integral
+    report = minimal_period(TowerParams(5, 4, 2))
+    assert report.lambda_times_period == 1 and report.lambda_integral
+    report = minimal_period(TowerParams(5, 2, 9))
+    assert report.lambda_times_period == 0 and report.lambda_integral
+    report = minimal_period(TowerParams(5, 4, 61))
+    assert report.lambda_times_period == 0 and report.lambda_integral
 
 
 def test_lambda_integrality_counterexample_p7_d6_r4():
@@ -103,12 +106,30 @@ def test_check_pairing():
     left = TowerParams(5, 4, 10)
     right = TowerParams(5, 4, 56)
     assert right.gamma == 5 * left.gamma
-    record = check_pairing(left, measure_periods=False)
-    assert record.period0 is None and record.periods_equal is None
+    assert check_pairing(left).r1 == 56
 
     record = check_pairing(TowerParams(3, 2, 2))
     assert record.r1 == 10
-    assert isinstance(record.periods_equal, bool)
+
+
+def test_self_checks_raise(monkeypatch):
+    params = TowerParams(5, 4, 2)
+    report = minimal_period(params)
+    with pytest.raises(InvariantViolationError, match="does not divide"):
+        dataclasses.replace(report, minimal_period=4)
+    half = Fraction(1, 2)
+    with pytest.raises(InvariantViolationError, match="linear coefficients"):
+        PairingRecord(r0=2, r1=16, lambda0=0, lambda1=half, delay0=0, delay1=1)
+    with pytest.raises(InvariantViolationError, match="offset by one"):
+        PairingRecord(r0=2, r1=16, lambda0=half, lambda1=half, delay0=0, delay1=2)
+    # a nu table off by one at delay+1 disagrees with brute force there
+    model = closed_model(params)
+    table = list(model.nu_table)
+    table[model.delay + 1] += 1
+    tampered = dataclasses.replace(model, nu_table=tuple(table))
+    monkeypatch.setattr(anum.analysis, "closed_model", lambda _: tampered)
+    with pytest.raises(InvariantViolationError, match="n=1 disagrees"):
+        minimal_period(params)
 
 
 def test_sweep_singleton_matches_report():
@@ -119,20 +140,22 @@ def test_sweep_singleton_matches_report():
     assert row.lam == report.lambda_value
     assert row.quad == closed_model(TowerParams(5, 4, 2)).quad_coeff
     assert row.partner_r == 16
+    assert row.partner_period == minimal_period(TowerParams(5, 4, 16)).minimal_period
+    assert row.partner_period_equal == (row.partner_period == row.minimal_period)
     assert row.error == ""
 
 
 def test_sweep_ordering_and_determinism():
     grid = [(5, 2, 3), (3, 2, 1), (5, 2, 1), (3, 1, 2)]
-    rows = sweep(grid, measure_partner_periods=False)
+    rows = sweep(grid)
     assert [(row.p, row.d, row.r) for row in rows] == [
         (3, 1, 2), (3, 2, 1), (5, 2, 1), (5, 2, 3)]
-    again = sweep(list(reversed(grid)), measure_partner_periods=False)
+    again = sweep(list(reversed(grid)))
     assert rows == again
 
 
 def test_sweep_records_cell_failures_in_row():
-    rows = sweep([(5, 4, 1), (5, 3, 1)], measure_partner_periods=False)
+    rows = sweep([(5, 4, 1), (5, 3, 1)])
     assert [(row.p, row.d, row.r) for row in rows] == [(5, 3, 1), (5, 4, 1)]
     assert "d must divide p-1" in rows[0].error
     assert rows[0].minimal_period is None
@@ -141,12 +164,6 @@ def test_sweep_records_cell_failures_in_row():
 
 
 def test_sweep_small_d_has_no_linear_term():
-    rows = sweep([(3, d, r) for d in (1, 2) for r in range(1, 9)],
-                 measure_partner_periods=False)
+    rows = sweep([(3, d, r) for d in (1, 2) for r in range(1, 9)])
     assert len(rows) == 16
     assert all(row.lam == 0 for row in rows)
-
-
-def test_window_periods_validation():
-    with pytest.raises(ValueError):
-        minimal_period(TowerParams(5, 4, 2), window_periods=0)

@@ -3,15 +3,18 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 import anum.analysis
+import anum.cli
 from anum import (
     InvariantViolationError,
     TowerParams,
     a_number_bruteforce,
     closed_model,
+    evaluate,
 )
 from anum.cli import main
 
@@ -85,6 +88,34 @@ def test_compute_n_zero_below_delay_and_negative_n(capsys):
                          "-n", "-1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "n must be >= 0" in err
+
+
+def test_compute_prints_values_past_the_int_str_limit(capsys):
+    # the value has about 4456 digits, past the int-to-str limit (4300 by
+    # default) of Python 3.11+, which used to surface as a usage error
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "compute", "-p", "13", "-d", "12", "-r", "20",
+                         "-n", "2000", "--method", "closed")
+    assert code == 0 and err == ""
+    value = evaluate(closed_model(TowerParams(13, 12, 20)), 2000)
+    line = out.splitlines()[1]
+    if limit:
+        assert sys.get_int_max_str_digits() == limit  # restored
+        sys.set_int_max_str_digits(0)
+    try:
+        assert line == f"closed = {value}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(params):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(anum.cli, "closed_model", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["formula", "-p", "5", "-d", "4", "-r", "2"])
 
 
 def test_compute_both_below_delay_keeps_brute(capsys):
@@ -293,3 +324,9 @@ def test_unknown_flags_exit_2(capsys):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    # the period window knob is gone
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--p-list", "5", "--r-max", "1", "--window-periods", "3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -269,9 +269,9 @@ def test_model_serialization_schema():
         "quad": "4/21", "lambda": "1/3", "N_r": 0,
         "period": 3, "nu": ["-4/21", "-2/21", "2/7"],
     }
-    full = model_to_dict(closed_model(P5D4R2), minimal=False)
-    assert full["period"] == 6
-    assert full["nu"] == ["-4/21", "-2/21", "2/7"] * 2
+    model = closed_model(P5D4R2)
+    assert model.claimed_period == 6
+    assert model.nu_table == (Fraction(-4, 21), Fraction(-2, 21), Fraction(2, 7)) * 2
 
 
 def test_quadratic_coefficient_wiring_check():
