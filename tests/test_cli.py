@@ -206,6 +206,25 @@ def test_verify_r1_includes_formula_check(capsys):
     assert out.splitlines()[-1] == "PASS"
 
 
+def test_verify_stops_at_the_first_failing_law(capsys, monkeypatch):
+    failing = "delta is invariant under multiplying i by p"
+    laws = anum.cli._verify_checks
+
+    def planted(params, n_max, budget):
+        for name, check in laws(params, n_max, budget):
+            yield name, (lambda: False) if name == failing else check
+
+    monkeypatch.setattr(anum.cli, "_verify_checks", planted)
+    code, out, _ = run(capsys, "verify", "-p", "5", "-d", "4", "-r", "2")
+    assert code == 1
+    # the third law fails; nothing after it runs and PASS is not printed
+    assert out.splitlines() == [
+        "ok delta digit test matches the lexicographic definition",
+        "ok mu equals floor+delta and ceil-1+delta_tilde",
+        f"FAIL {failing}",
+    ]
+
+
 def test_verify_budget_exit(capsys):
     code, _, err = run(capsys, "verify", "-p", "5", "-d", "4", "-r", "2",
                        "--n-max", "4", "--budget", "1")

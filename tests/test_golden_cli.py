@@ -34,6 +34,7 @@ INVOCATIONS = (
     ("sweep", "--p-list", "5", "--r-max", "0"),
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "8"),
     ("verify", "-p", "7", "-d", "6", "-r", "4"),
+    ("verify", "-p", "3", "-d", "2", "-r", "1"),
 )
 
 GOLDEN = {
@@ -81,6 +82,8 @@ GOLDEN = {
         'b7b5c451ac84a549f5440fb7ff33dfdbabc7645d29b3e73635c2137bcd9bb7e2',
     'verify -p 7 -d 6 -r 4':
         '6fa51eb650f0e9ece7081735a045e41ea202f00a14fd7e17ea255d82373f0164',
+    'verify -p 3 -d 2 -r 1':
+        'd5d0e4a999c51f7d8daea22f7073f9ecd705cccc64540d6c2ee8386c34453cf7',
 }
 
 
