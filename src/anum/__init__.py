@@ -30,14 +30,11 @@ from .closed_form import (
     model_to_dict,
     nu_value,
     reduced_nu_table,
-    special_d12,
-    special_r_eq_p_plus_1,
 )
 from .delta import (
     TowerParams,
     delta,
     delta0,
-    delta0_as_sequence,
     delta0_average,
     delta_lexicographic,
     delta_tilde,
@@ -65,14 +62,12 @@ from .lattice import (
     TriangleSpec,
     a_number_bruteforce,
     count_delta_region,
-    count_delta_region_pointwise,
-    count_tilde_delta,
     last_column,
     sum_decomposition,
     t_n,
     triangle_lattice_count,
 )
-from .periodic_sum import EventuallyPeriodicSeq, prefix_sum, term
+from .periodic_sum import EventuallyPeriodicSeq, prefix_sum
 
 __version__ = "0.1.0"
 
@@ -98,11 +93,8 @@ __all__ = [
     "check_pairing",
     "closed_model",
     "count_delta_region",
-    "count_delta_region_pointwise",
-    "count_tilde_delta",
     "delta",
     "delta0",
-    "delta0_as_sequence",
     "delta0_average",
     "delta_lexicographic",
     "delta_sum_closed",
@@ -130,11 +122,8 @@ __all__ = [
     "p_adic_decompose",
     "prefix_sum",
     "reduced_nu_table",
-    "special_d12",
-    "special_r_eq_p_plus_1",
     "sum_decomposition",
     "sweep",
     "t_n",
-    "term",
     "triangle_lattice_count",
 ]

@@ -20,30 +20,12 @@ from dataclasses import astuple
 from fractions import Fraction
 
 from .analysis import SWEEP_COLUMNS, sweep
-from .closed_form import (
-    closed_model,
-    delta_sum_linear_coeff,
-    evaluate,
-    model_to_dict,
-)
-from .delta import (
-    TowerParams,
-    delta,
-    delta0,
-    delta0_average,
-    delta_lexicographic,
-    delta_tilde,
-    mu,
-)
+from .checks import checks
+from .closed_form import closed_model, evaluate, model_to_dict
+from .delta import TowerParams, delta, delta0, delta_tilde
 from .errors import BudgetExceededError, InvariantViolationError, PreDelayError
 from .exact_arith import divisors, format_rational, is_prime
-from .lattice import (
-    TriangleSpec,
-    a_number_bruteforce,
-    last_column,
-    sum_decomposition,
-    triangle_lattice_count,
-)
+from .lattice import a_number_bruteforce
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -71,15 +53,19 @@ def _make_params(p, d, r):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    raw = os.environ.get("ANUM_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"ANUM_BUDGET must be an integer, got {raw!r}")
+    budget, source = getattr(args, "budget", None), "--budget"
+    if budget is None:
+        raw = os.environ.get("ANUM_BUDGET")
+        if raw is None:
+            return None
+        source = "ANUM_BUDGET"
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise UsageError(f"ANUM_BUDGET must be an integer, got {raw!r}")
+    if budget < 0:
+        raise UsageError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _cell(value) -> str:
@@ -142,15 +128,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".anum-tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".anum-tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def cmd_compute(args) -> int:
@@ -205,98 +194,12 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(params, n_max, budget):
-    """Yield (name, callable) pairs; a callable returning False fails."""
-    p, d = params.p, params.d
-    td = params.tau_den
-    block = td * p
-
-    def digit_vs_lex():
-        return all(delta(params, i) == delta_lexicographic(params, i)
-                   for i in range(1, 201))
-
-    def mu_identities():
-        for i in range(1, 201):
-            scaled = (p + 1) * i
-            floor_v = scaled // d
-            ceil_v = -(-scaled // d)
-            if mu(params, i) != floor_v + delta(params, i):
-                return False
-            if mu(params, i) != ceil_v - 1 + delta_tilde(params, i):
-                return False
-        return True
-
-    def multiplicative():
-        return all(delta(params, i) == delta(params, i * p**e)
-                   for i in range(1, 61) for e in (1, 2))
-
-    def shift():
-        return all(delta0(params, i) == delta0(params, i + block)
-                   for i in range(1, 3 * block + 1))
-
-    def reflection():
-        for i in range(1, block):
-            a, b = delta0(params, i), delta0(params, block - i)
-            if i % td and i % p:
-                if a + b != 1:
-                    return False
-            elif a or b:
-                return False
-        return True
-
-    def average():
-        total = sum(delta0(params, i) for i in range(1, block + 1))
-        return Fraction(total, block) == delta0_average(params)
-
-    def tau_side_linear():
-        return delta_sum_linear_coeff(params.tau, params) == 0
-
-    yield "delta digit test matches the lexicographic definition", digit_vs_lex
-    yield "mu equals floor+delta and ceil-1+delta_tilde", mu_identities
-    yield "delta is invariant under multiplying i by p", multiplicative
-    yield "delta0 shifts by tau_den*p", shift
-    yield "delta0 reflects within one period", reflection
-    yield "delta0 average matches its closed form", average
-    yield "tau-side linear coefficient vanishes", tau_side_linear
-
-    def agreement(n):
-        def check():
-            brute = a_number_bruteforce(params, n, budget)
-            decomp = sum_decomposition(params, n, budget)
-            if brute.total != decomp.total:
-                return False
-            model = closed_model(params)
-            if n >= model.delay and evaluate(model, n) != brute.total:
-                return False
-            points = triangle_lattice_count(TriangleSpec(params, n), budget)
-            boundary = sum(1 - delta_tilde(params, i)
-                           for i in range(brute.t_n + 1,
-                                          last_column(params, n) + 1))
-            return brute.total == points - last_column(params, n) - 1 + boundary
-        return check
-
-    for n in range(1, n_max + 1):
-        yield (f"n={n}: brute force, split forms, closed form, and triangle "
-               f"count agree"), agreement(n)
-
-    if params.r == 1:
-        def first_power():
-            for n in range(1, n_max + 1):
-                expected = Fraction(d * (p - 1), 4 * (p + 1)) * (p**(2 * n - 1) + 1)
-                if d % 2 == 1:
-                    expected -= Fraction(p - 1, 4 * d)
-                if a_number_bruteforce(params, n, budget).total != expected:
-                    return False
-            return True
-        yield "r=1 closed formula matches brute force", first_power
-
-
 def cmd_verify(args) -> int:
     params = _make_params(args.p, args.d, args.r)
     if args.n_max < 1:
         raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
     budget = _budget(args)
-    for name, check in _verify_checks(params, args.n_max, budget):
+    for name, check in checks(params, args.n_max, budget):
         if not check():
             print(f"FAIL {name}")
             return EXIT_VERIFY

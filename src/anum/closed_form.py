@@ -301,32 +301,6 @@ def reduced_nu_table(model: ClosedFormModel) -> tuple[Fraction, ...]:
     return model.nu_table[:minimal_nu_period(model)]
 
 
-def special_d12(params: TowerParams, n: int) -> Fraction:
-    """Direct value for d in {1, 2}: every delta vanishes (tau_den = 1), so
-    the count is quad*p^{2n} plus the difference of the floor-sum residues,
-    and the linear term is zero.  Exact for every n >= 0."""
-    if params.d not in (1, 2):
-        raise ValueError(f"only valid for d in (1, 2), got d={params.d}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    p = params.p
-    quad = (1 / params.tau - 1 / params.gamma) / 2
-    return (quad * p**(2 * n)
-            + A_fn(1 / params.tau, p, n) - A_fn(1 / params.gamma, p, n))
-
-
-def special_r_eq_p_plus_1(params: TowerParams) -> ClosedFormModel:
-    """Model for r = p+1, where gamma = p*tau: no linear term, period 1,
-    constant nu = (p-1)(1/tau - 1)/2, valid from n = 1."""
-    if params.r != params.p + 1:
-        raise ValueError(
-            f"only valid for r = p+1 = {params.p + 1}, got r={params.r}")
-    quad = (1 / params.tau - 1 / params.gamma) / 2
-    nu = Fraction(params.p - 1, 2) * (1 / params.tau - 1)
-    return ClosedFormModel(params=params, quad_coeff=quad, lam=Fraction(0),
-                           delay=1, claimed_period=1, nu_table=(nu,))
-
-
 def model_to_dict(model: ClosedFormModel) -> dict:
     """JSON-ready rendering: {p, d, r, quad, lambda, N_r, period, nu}, with
     the nu table cut to its minimal period."""

@@ -37,7 +37,6 @@ from functools import cached_property, lru_cache
 
 from .errors import InvariantViolationError
 from .exact_arith import PAdicForm, digit, is_prime, p_adic_decompose
-from .periodic_sum import EventuallyPeriodicSeq
 
 
 @dataclass(frozen=True)
@@ -191,13 +190,3 @@ def delta0_average(params: TowerParams) -> Fraction:
             f"delta0 average formula disagrees with the direct sum for "
             f"p={p}, d={params.d}")
     return value
-
-
-def delta0_as_sequence(params: TowerParams) -> EventuallyPeriodicSeq:
-    """delta0 as an immediately periodic sequence with period tau_den * p."""
-    cycle = tuple(Fraction(delta0(params, i))
-                  for i in range(1, params.tau_den * params.p + 1))
-    seq = EventuallyPeriodicSeq(head=(), cycle=cycle)
-    if seq.average != delta0_average(params):
-        raise InvariantViolationError("delta0 cycle average mismatch")
-    return seq

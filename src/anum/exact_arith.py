@@ -110,12 +110,6 @@ class PAdicForm:
     num: int
     den: int
 
-    def value(self) -> Fraction:
-        """Reassemble the rational this form was split from."""
-        if self.v >= 0:
-            return Fraction(self.num * self.p**self.v, self.den)
-        return Fraction(self.num, self.den * self.p**-self.v)
-
 
 def p_adic_decompose(x: Rational | int, p: int) -> PAdicForm:
     """Split positive x as p^v * num/den, pulling every factor of p into v."""
@@ -178,38 +172,6 @@ class BasePExpansion:
     def digit_average(self) -> Fraction:
         """Average of the repeating digits."""
         return Fraction(sum(self.period_digits), len(self.period_digits))
-
-    def value(self) -> Fraction:
-        """Reassemble the rational: integer part, preperiod, then the
-        repeating block summed as a geometric series."""
-        p = self.p
-        total = Fraction(0)
-        for j, dig in enumerate(self.integer_digits):
-            total += dig * Fraction(p) ** j
-        for j, dig in enumerate(self.preperiod_digits, start=1):
-            total += Fraction(dig, p**j)
-        length = len(self.period_digits)
-        block = _digits_value(self.period_digits, p)
-        total += Fraction(block, p**self.delay * (p**length - 1))
-        return total
-
-
-def _digits_value(digits: tuple[int, ...], p: int) -> int:
-    """The integer whose base-p digits, most significant first, are digits.
-
-    Divide and conquer (hi * p^len(lo) + lo) keeps the big-integer
-    products balanced, where Horner's rule would be quadratic in the
-    number of digits.
-    """
-    if len(digits) <= 64:
-        value = 0
-        for dig in digits:
-            value = value * p + dig
-        return value
-    mid = len(digits) // 2
-    lo = digits[mid:]
-    return _digits_value(digits[:mid], p) * p**len(lo) + _digits_value(lo, p)
-
 
 def expand(x: Rational | int, p: int) -> BasePExpansion:
     """Digit expansion of x > 0 in base p.

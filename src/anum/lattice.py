@@ -1,10 +1,9 @@
 """Brute-force counters for the region and its bounding triangle.
 
 These are the ground truth that every closed form in the package is tested
-against.  The default counters work per column (cost O(d * p^n / (p+1))
-small-integer operations); a per-point counter is kept as a second oracle
-for tiny n.  All enumeration is guarded by an explicit column budget so a
-mistyped n fails fast instead of hanging.
+against.  The counters work per column (cost O(d * p^n / (p+1))
+small-integer operations).  All enumeration is guarded by an explicit
+column budget so a mistyped n fails fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -59,25 +58,6 @@ def count_delta_region(params: TowerParams, n: int, budget: int | None = None) -
     return total
 
 
-def count_delta_region_pointwise(params: TowerParams, n: int,
-                                 budget: int | None = None) -> int:
-    """Per-point enumeration of the same region.  Cost O(p^{2n}): a second
-    oracle for tiny n only."""
-    t = t_n(params, n)
-    last = last_column(params, n)
-    _require_budget(max(0, last - t), budget)
-    pn = params.p**n
-    count = 0
-    for i in range(1, last + 1):
-        if i <= t:
-            continue
-        first = mu(params, i)
-        for j in range(1, pn):
-            if first <= j:
-                count += 1
-    return count
-
-
 def _wide_columns_count(params: TowerParams, n: int) -> int:
     """Points with i <= t_n and p^n - i*r*(p-1)/d <= j <= p^n - 1, counted
     from the definition column by column."""
@@ -89,13 +69,6 @@ def _wide_columns_count(params: TowerParams, n: int) -> int:
         low = max(1, pn - i * step)
         total += max(0, pn - 1 - low + 1)
     return total
-
-
-def count_tilde_delta(params: TowerParams, n: int, budget: int | None = None) -> int:
-    """Size of the widened region: the delta region together with the full
-    columns below the top edge for i <= t_n."""
-    _require_budget(last_column(params, n), budget)
-    return _wide_columns_count(params, n) + count_delta_region(params, n, budget)
 
 
 @dataclass(frozen=True)

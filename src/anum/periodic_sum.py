@@ -56,15 +56,6 @@ def _steps(sums: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
-def term(seq: EventuallyPeriodicSeq, i: int) -> Fraction:
-    """Term i (1-indexed)."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
-    if i > seq.delay:
-        i = seq.delay + 1 + (i - seq.delay - 1) % seq.period
-    return seq.sums[i] - seq.sums[i - 1]
-
-
 def prefix_sum(seq: EventuallyPeriodicSeq, count: int) -> Fraction:
     """Sum of terms 1..count, in time independent of count."""
     if count < 0:

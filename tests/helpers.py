@@ -1,9 +1,10 @@
 """Shared grids and slow oracles for the test suite.
 
 The oracles here never call the code path they check: floor sums and
-delta sums are term-by-term loops, the triangle is counted point by point
-with exact comparisons, and digit periods come from long-division
-remainder cycling.
+delta sums are term-by-term loops, the triangle and the delta region are
+counted point by point with exact comparisons, digit periods come from
+long-division remainder cycling, and rationals are reassembled from their
+p-adic forms and digit expansions.
 """
 
 from __future__ import annotations
@@ -11,7 +12,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from anum import TowerParams, delta, divisors
+from anum import (
+    A_fn,
+    ClosedFormModel,
+    EventuallyPeriodicSeq,
+    InvariantViolationError,
+    TowerParams,
+    count_delta_region,
+    delta,
+    delta0,
+    delta0_average,
+    divisors,
+    last_column,
+    mu,
+    t_n,
+)
 
 
 def pd_grid():
@@ -78,3 +93,110 @@ def longdiv_delay_period(x, p):
         a = a * p % b
         k += 1
     return seen[a], k - seen[a]
+
+
+def count_delta_region_pointwise(params, n):
+    """Per-point enumeration of the delta region.  Cost O(p^{2n}): tiny n
+    only."""
+    pn = params.p**n
+    count = 0
+    for i in range(t_n(params, n) + 1, last_column(params, n) + 1):
+        first = mu(params, i)
+        for j in range(1, pn):
+            if first <= j:
+                count += 1
+    return count
+
+
+def count_tilde_delta(params, n):
+    """Size of the widened region: the delta region together with the full
+    columns below the top edge, p^n - i*r*(p-1)/d <= j <= p^n - 1, for
+    i <= t_n."""
+    step = params.r * (params.p - 1) // params.d  # integral since d | p-1
+    pn = params.p**n
+    wide = sum(min(pn - 1, i * step) for i in range(1, t_n(params, n) + 1))
+    return wide + count_delta_region(params, n)
+
+
+def special_d12(params, n):
+    """Direct value for d in {1, 2}: every delta vanishes (tau_den = 1), so
+    the count is quad*p^{2n} plus the difference of the floor-sum residues,
+    and the linear term is zero.  Exact for every n >= 0."""
+    if params.d not in (1, 2):
+        raise ValueError(f"only valid for d in (1, 2), got d={params.d}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    p = params.p
+    quad = (1 / params.tau - 1 / params.gamma) / 2
+    return (quad * p**(2 * n)
+            + A_fn(1 / params.tau, p, n) - A_fn(1 / params.gamma, p, n))
+
+
+def special_r_eq_p_plus_1(params):
+    """Model for r = p+1, where gamma = p*tau: no linear term, period 1,
+    constant nu = (p-1)(1/tau - 1)/2, valid from n = 1."""
+    if params.r != params.p + 1:
+        raise ValueError(
+            f"only valid for r = p+1 = {params.p + 1}, got r={params.r}")
+    quad = (1 / params.tau - 1 / params.gamma) / 2
+    nu = Fraction(params.p - 1, 2) * (1 / params.tau - 1)
+    return ClosedFormModel(params=params, quad_coeff=quad, lam=Fraction(0),
+                           delay=1, claimed_period=1, nu_table=(nu,))
+
+
+def delta0_as_sequence(params):
+    """delta0 as an immediately periodic sequence with period tau_den * p."""
+    cycle = tuple(Fraction(delta0(params, i))
+                  for i in range(1, params.tau_den * params.p + 1))
+    seq = EventuallyPeriodicSeq(head=(), cycle=cycle)
+    if seq.average != delta0_average(params):
+        raise InvariantViolationError("delta0 cycle average mismatch")
+    return seq
+
+
+def term(seq, i):
+    """Term i (1-indexed) of an eventually periodic sequence."""
+    if i < 1:
+        raise ValueError(f"index must be >= 1, got {i}")
+    if i > seq.delay:
+        i = seq.delay + 1 + (i - seq.delay - 1) % seq.period
+    return seq.sums[i] - seq.sums[i - 1]
+
+
+def p_adic_value(form):
+    """Reassemble the rational a PAdicForm was split from."""
+    if form.v >= 0:
+        return Fraction(form.num * form.p**form.v, form.den)
+    return Fraction(form.num, form.den * form.p**-form.v)
+
+
+def expansion_value(exp):
+    """Reassemble the rational of a BasePExpansion: integer part,
+    preperiod, then the repeating block summed as a geometric series."""
+    p = exp.p
+    total = Fraction(0)
+    for j, dig in enumerate(exp.integer_digits):
+        total += dig * Fraction(p) ** j
+    for j, dig in enumerate(exp.preperiod_digits, start=1):
+        total += Fraction(dig, p**j)
+    length = len(exp.period_digits)
+    block = _digits_value(exp.period_digits, p)
+    total += Fraction(block, p**exp.delay * (p**length - 1))
+    return total
+
+
+def _digits_value(digits, p):
+    """The integer whose base-p digits, most significant first, are digits.
+
+    Divide and conquer (hi * p^len(lo) + lo) keeps the big-integer
+    products balanced, where Horner's rule would be quadratic in the
+    number of digits.
+    """
+    if len(digits) <= 64:
+        value = 0
+        for dig in digits:
+            value = value * p + dig
+        return value
+    mid = len(digits) // 2
+    lo = digits[mid:]
+    return _digits_value(digits[:mid], p) * p**len(lo) + _digits_value(lo, p)

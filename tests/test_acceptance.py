@@ -16,12 +16,8 @@ from anum import (
     a_number_bruteforce,
     check_pairing,
     closed_model,
-    delta,
     delta0,
-    delta0_average,
-    delta_lexicographic,
     delta_sum_closed,
-    delta_sum_linear_coeff,
     evaluate,
     expand,
     floor_sum_closed,
@@ -29,12 +25,12 @@ from anum import (
     minimal_nu_period,
     minimal_period,
     reduced_nu_table,
-    special_r_eq_p_plus_1,
     sum_decomposition,
     sweep,
 )
+from anum.checks import checks
 from anum.cli import main as cli_main
-from helpers import full_grid, pd_grid
+from helpers import full_grid, pd_grid, special_r_eq_p_plus_1
 
 N4_COLUMN_CAP = 50_000  # include n=4 wherever the column count stays modest
 
@@ -98,12 +94,8 @@ def test_criterion_04_first_power_formula():
     with criterion(4, "r=1 equals d(p-1)/(4(p+1))(p^{2n-1}+1) minus the odd-d "
                       "correction on the grid"):
         for p, d in pd_grid():
-            params = TowerParams(p, d, 1)
-            for n in (1, 2, 3):
-                expected = Fraction(d * (p - 1), 4 * (p + 1)) * (p**(2 * n - 1) + 1)
-                if d % 2 == 1:
-                    expected -= Fraction(p - 1, 4 * d)
-                assert a_number_bruteforce(params, n).total == expected, (p, d, n)
+            laws = dict(checks(TowerParams(p, d, 1), 3, None))
+            assert laws["r=1 closed formula matches brute force"](), (p, d)
 
 
 def test_criterion_05_delta_table_command(capsys):
@@ -166,20 +158,8 @@ def test_criterion_09_structural_laws():
             params = TowerParams(p, d, 1)
             td = params.tau_den
             block = td * p
-            for i in range(1, 201):
-                assert delta(params, i) == delta(params, i * p)
-                assert delta(params, i) == delta_lexicographic(params, i)
-            for i in range(1, 2 * block + 1):
-                assert delta0(params, i) == delta0(params, i + block)
-            for i in range(1, block):
-                if i % td and i % p:
-                    assert delta0(params, i) + delta0(params, block - i) == 1
-                else:
-                    assert delta0(params, i) == delta0(params, block - i) == 0
-            direct = Fraction(sum(delta0(params, i) for i in range(1, block + 1)),
-                              block)
-            assert delta0_average(params) == direct
-            assert delta_sum_linear_coeff(params.tau, params) == 0
+            for name, check in checks(params, 0, None):
+                assert check(), (p, d, name)
             assert expand(1 / params.tau, p).digit_average == Fraction(p - 1, 2)
             total = (sum(delta0(params, i) for i in range(1, d))
                      + sum(delta0(params, i) for i in range(1, block - d + 1)))

@@ -208,13 +208,13 @@ def test_verify_r1_includes_formula_check(capsys):
 
 def test_verify_stops_at_the_first_failing_law(capsys, monkeypatch):
     failing = "delta is invariant under multiplying i by p"
-    laws = anum.cli._verify_checks
+    laws = anum.cli.checks
 
     def planted(params, n_max, budget):
         for name, check in laws(params, n_max, budget):
             yield name, (lambda: False) if name == failing else check
 
-    monkeypatch.setattr(anum.cli, "_verify_checks", planted)
+    monkeypatch.setattr(anum.cli, "checks", planted)
     code, out, _ = run(capsys, "verify", "-p", "5", "-d", "4", "-r", "2")
     assert code == 1
     # the third law fails; nothing after it runs and PASS is not printed
@@ -241,6 +241,36 @@ def test_budget_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
                        "-n", "3", "--budget", "100000")
     assert code == 0 and "AGREE" in out
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                         "-n", "0", "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be >= 0, got -1\n"
+    # budget 0 stays valid: n = 0 enumerates no column
+    code, out, _ = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                       "-n", "0", "--budget", "0")
+    assert code == 0 and "AGREE" in out
+
+
+def test_negative_budget_from_the_environment_is_a_usage_error(capsys,
+                                                                monkeypatch):
+    monkeypatch.setenv("ANUM_BUDGET", "-2")
+    code, out, err = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                         "-n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: ANUM_BUDGET must be >= 0, got -2\n"
+
+
+def test_sweep_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "sweep", "--p-list", "5", "--r-max", "1",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
 
 
 def test_sweep_csv_to_file(capsys, tmp_path):

@@ -17,7 +17,6 @@ from anum import (
     delta0,
     delta0_average,
     delta_sum_closed,
-    delta_sum_linear_coeff,
     delta_sum_residue,
     evaluate,
     expand,
@@ -26,15 +25,16 @@ from anum import (
     minimal_nu_period,
     model_to_dict,
     reduced_nu_table,
-    special_d12,
-    special_r_eq_p_plus_1,
 )
+from anum.checks import checks
 from helpers import (
     floor_inv_pn,
     full_grid,
     naive_delta_sum,
     naive_floor_sum,
     pd_grid,
+    special_d12,
+    special_r_eq_p_plus_1,
 )
 
 P5D4R2 = TowerParams(5, 4, 2)
@@ -164,8 +164,8 @@ def test_delta_sum_pinned_residues():
 
 def test_tau_side_linear_coefficient_vanishes():
     for p, d in pd_grid():
-        params = TowerParams(p, d, 1)
-        assert delta_sum_linear_coeff(params.tau, params) == 0, (p, d)
+        laws = dict(checks(TowerParams(p, d, 1), 0, None))
+        assert laws["tau-side linear coefficient vanishes"](), (p, d)
 
 
 def test_tau_inverse_digit_average():

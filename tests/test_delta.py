@@ -8,13 +8,11 @@ from anum import (
     TowerParams,
     delta,
     delta0,
-    delta0_as_sequence,
     delta0_average,
-    delta_lexicographic,
     delta_tilde,
     mu,
 )
-from helpers import pd_grid
+from helpers import delta0_as_sequence, pd_grid
 
 # indicators over i = 1..19 for p=5, d=4
 DELTA_P5_D4 = (1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0)
@@ -86,24 +84,6 @@ def test_mu_examples():
     assert mu(P5D4, 3) == 4
 
 
-def test_mu_identities():
-    for p, d in pd_grid():
-        params = TowerParams(p, d, 1)
-        for i in range(1, 501):
-            scaled = (p + 1) * i
-            floor_v = scaled // d
-            ceil_v = -(-scaled // d)
-            assert mu(params, i) == floor_v + delta(params, i)
-            assert mu(params, i) == ceil_v - 1 + delta_tilde(params, i)
-
-
-def test_digit_test_matches_lexicographic_reference():
-    for p, d in pd_grid():
-        params = TowerParams(p, d, 1)
-        for i in range(1, 501):
-            assert delta(params, i) == delta_lexicographic(params, i), (p, d, i)
-
-
 def test_digit_comparison_characterizes_multiples_of_p():
     from anum import digit
     for p, d in pd_grid():
@@ -116,32 +96,10 @@ def test_digit_comparison_characterizes_multiples_of_p():
                 assert (delta(params, i) == 1) == (digit(x, p, -1) > digit(x, p, 0))
 
 
-def test_multiplicative_law():
-    for p, d in pd_grid():
-        params = TowerParams(p, d, 1)
-        for i in range(1, 201):
-            for e in range(1, 4):
-                assert delta(params, i) == delta(params, i * p**e)
-
-
-def test_shift_law():
-    for p, d in pd_grid():
-        params = TowerParams(p, d, 1)
-        block = params.tau_den * p
-        for i in range(1, 5 * block + 1):
-            assert delta0(params, i) == delta0(params, i + block)
-
-
 def test_reflection_laws():
     for p, d in pd_grid():
         params = TowerParams(p, d, 1)
         td = params.tau_den
-        block = td * p
-        for i in range(1, block):
-            if i % td and i % p:
-                assert delta0(params, i) + delta0(params, block - i) == 1
-            else:
-                assert delta0(params, i) == delta0(params, block - i) == 0
         for j in range(1, d):
             if j % p == 0:
                 continue
@@ -155,11 +113,6 @@ def test_delta0_average():
     assert delta0_average(P5D4) == Fraction(1, 5)
     assert delta0_average(TowerParams(7, 1, 1)) == 0
     assert delta0_average(TowerParams(13, 4, 1)) == Fraction(3, 13)
-    for p, d in pd_grid():
-        params = TowerParams(p, d, 1)
-        block = params.tau_den * p
-        direct = Fraction(sum(delta0(params, i) for i in range(1, block + 1)), block)
-        assert delta0_average(params) == direct
 
 
 def test_delta0_as_sequence():

@@ -12,15 +12,19 @@ from anum import (
     TriangleSpec,
     a_number_bruteforce,
     count_delta_region,
-    count_delta_region_pointwise,
-    count_tilde_delta,
     delta_tilde,
     last_column,
     sum_decomposition,
     t_n,
     triangle_lattice_count,
 )
-from helpers import full_grid, pd_grid, triangle_points_oracle
+from helpers import (
+    count_delta_region_pointwise,
+    count_tilde_delta,
+    full_grid,
+    pd_grid,
+    triangle_points_oracle,
+)
 
 P5D4R2 = TowerParams(5, 4, 2)
 P5D4R1 = TowerParams(5, 4, 1)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from anum import EventuallyPeriodicSeq, TowerParams, delta0_as_sequence, prefix_sum, term
+from anum import EventuallyPeriodicSeq, TowerParams, prefix_sum
+from helpers import delta0_as_sequence, term
 
 
 def F(*args):
