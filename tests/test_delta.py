@@ -12,6 +12,7 @@ from anum import (
     delta_tilde,
     mu,
 )
+from anum.checks import checks
 from helpers import delta0_as_sequence, pd_grid
 
 # indicators over i = 1..19 for p=5, d=4
@@ -82,6 +83,29 @@ def test_mu_examples():
     assert mu(P5D4, 1) == 2
     assert mu(P5D4, 2) == 3
     assert mu(P5D4, 3) == 4
+
+
+def _assert_law_on_grid(name):
+    """Run the `anum.checks` law called `name` on every pd_grid pair."""
+    for p, d in pd_grid():
+        laws = dict(checks(TowerParams(p, d, 1), 0, None))
+        assert laws[name](), (p, d, name)
+
+
+def test_mu_identities():
+    _assert_law_on_grid("mu equals floor+delta and ceil-1+delta_tilde")
+
+
+def test_digit_test_matches_lexicographic_reference():
+    _assert_law_on_grid("delta digit test matches the lexicographic definition")
+
+
+def test_multiplicative_law():
+    _assert_law_on_grid("delta is invariant under multiplying i by p")
+
+
+def test_shift_law():
+    _assert_law_on_grid("delta0 shifts by tau_den*p")
 
 
 def test_digit_comparison_characterizes_multiples_of_p():
