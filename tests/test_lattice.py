@@ -12,6 +12,7 @@ from anum import (
     TriangleSpec,
     a_number_bruteforce,
     count_delta_region,
+    delta,
     delta_tilde,
     last_column,
     sum_decomposition,
@@ -124,7 +125,6 @@ def test_sum_decomposition_examples():
     assert floor_bracket - delta_bracket == 120
     three = sum_decomposition(P5D4R2, 3)
     # the tau-side delta sum at n=3: (1/6)5^3 + 1/6
-    from anum import delta
     tau_sum = sum(delta(P5D4R2, i) for i in range(1, last_column(P5D4R2, 3) + 1))
     assert tau_sum == Fraction(1, 6) * 125 + Fraction(1, 6)
     assert three.total == a_number_bruteforce(P5D4R2, 3).total
@@ -139,6 +139,10 @@ def test_sum_decomposition_matches_bruteforce_on_grid():
             assert decomp.t_n == brute.t_n
             assert decomp.triangle_term == brute.triangle_term
             assert decomp.delta_region_count == brute.delta_region_count
+            floor_bracket, delta_bracket = decomp.floor_sum_form
+            assert floor_bracket - delta_bracket == brute.total, (params, n)
+            assert delta_bracket == sum(delta(params, i) for i in range(
+                brute.t_n + 1, last_column(params, n) + 1)), (params, n)
 
 
 def test_budget_guard():
