@@ -59,7 +59,6 @@ from .exact_arith import (
 from .lattice import (
     DEFAULT_COLUMN_BUDGET,
     ANumberBreakdown,
-    TriangleSpec,
     a_number_bruteforce,
     count_delta_region,
     last_column,
@@ -88,7 +87,6 @@ __all__ = [
     "Rational",
     "SweepRow",
     "TowerParams",
-    "TriangleSpec",
     "a_number_bruteforce",
     "check_pairing",
     "closed_model",

@@ -25,7 +25,6 @@ from .delta import (
     mu,
 )
 from .lattice import (
-    TriangleSpec,
     a_number_bruteforce,
     last_column,
     sum_decomposition,
@@ -91,13 +90,13 @@ def checks(params: TowerParams, n_max: int, budget: int | None):
     def agreement(n):
         def check():
             brute = a_number_bruteforce(params, n, budget)
-            decomp = sum_decomposition(params, n, budget)
+            decomp = sum_decomposition(params, n)
             if brute.total != decomp.total:
                 return False
             model = closed_model(params)
             if n >= model.delay and evaluate(model, n) != brute.total:
                 return False
-            points = triangle_lattice_count(TriangleSpec(params, n), budget)
+            points = triangle_lattice_count(params, n, budget)
             boundary = sum(1 - delta_tilde(params, i)
                            for i in range(brute.t_n + 1,
                                           last_column(params, n) + 1))

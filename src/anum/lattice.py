@@ -1,18 +1,19 @@
-"""Brute-force counters for the region and its bounding triangle.
+"""Brute-force counters for the region and its bounding triangle, and the
+split forms of the same count.
 
-These are the ground truth that every closed form in the package is tested
-against.  The counters work per column (cost O(d * p^n / (p+1))
-small-integer operations).  All enumeration is guarded by an explicit
-column budget so a mistyped n fails fast instead of hanging.
+The counters are the ground truth that every closed form in the package
+is tested against.  They work per column (cost O(d * p^n / (p+1))
+small-integer operations), and all enumeration is guarded by an explicit
+column budget so a mistyped n fails fast instead of hanging.  The split
+forms (floor sums minus delta sums) are evaluated, not enumerated: O(n)
+big-integer operations, with no budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .delta import TowerParams, delta, mu
+from .delta import TowerParams, mu
 from .errors import BudgetExceededError, InvariantViolationError
 
 DEFAULT_COLUMN_BUDGET = 10**7
@@ -107,102 +108,96 @@ def a_number_bruteforce(params: TowerParams, n: int,
                             delta_region_count=region, total=triangle + region)
 
 
-@dataclass(frozen=True)
-class TriangleSpec:
-    """Closed triangle with vertices (0, p^n), (p^n/tau, p^n), and
-    (p^n/gamma, tau*p^n/gamma), bounded by the lines y = p^n, y = tau*x,
-    and y = p^n - (gamma - tau)*x."""
+def triangle_lattice_count(params: TowerParams, n: int,
+                           budget: int | None = None) -> int:
+    """Number of integer points on or inside the closed triangle with
+    vertices (0, p^n), (p^n/tau, p^n) and (p^n/gamma, tau*p^n/gamma),
+    bounded by y = p^n, y = tau*x and y = p^n - (gamma - tau)*x.
 
-    params: TowerParams
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        pn = Fraction(self.params.p**self.n)
-        tau = self.params.tau
-        drop = self.params.gamma - tau
-        top, right, bottom = self.vertices
-        ok = (top[1] == pn and right[1] == pn
-              and right[1] == tau * right[0] and bottom[1] == tau * bottom[0]
-              and top[1] == pn - drop * top[0]
-              and bottom[1] == pn - drop * bottom[0])
-        if not ok:
-            raise InvariantViolationError("triangle vertices left their edges")
-
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        pn = self.params.p**self.n
-        tau, gamma = self.params.tau, self.params.gamma
-        return (
-            (Fraction(0), Fraction(pn)),
-            (pn / tau, Fraction(pn)),
-            (pn / gamma, tau * pn / gamma),
-        )
-
-
-def triangle_lattice_count(spec: TriangleSpec, budget: int | None = None) -> int:
-    """Number of integer points on or inside the closed triangle.
-
-    Counted column by column with exact ceilings; points on all three
-    edges are included.
+    Counted column by column; gamma - tau = r(p-1)/d is an integer, so
+    only the tau edge needs a ceiling.
     """
-    params, n = spec.params, spec.n
-    pn = params.p**n
     last = last_column(params, n)
     _require_budget(last + 1, budget)
-    tau = params.tau
-    drop = params.gamma - tau
+    p, d = params.p, params.d
+    pn = p**n
+    step = params.r * (p - 1) // d
     count = 0
     for x in range(last + 1):
-        ymin = max(math.ceil(tau * x), math.ceil(pn - drop * x))
+        ymin = max(-(-(p + 1) * x // d), pn - step * x)
         if ymin <= pn:
             count += pn - ymin + 1
     return count
 
 
-def sum_decomposition(params: TowerParams, n: int,
-                      budget: int | None = None) -> ANumberBreakdown:
-    """Evaluate the two split forms of the region count by direct summation.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{0 <= i < n} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1.
+
+    The Euclid-like reduction (the AtCoder Library's `floor_sum` is the
+    standard reference): split off the whole parts of a/m and b/m, then
+    count the same lattice points by rows instead of columns, which swaps
+    the roles of a and m.  O(log m) steps.
+    """
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * n * (n - 1) // 2 + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _delta_prefix(params: TowerParams, count: int) -> int:
+    """sum_{1 <= i <= count} delta(i) in O(log_p count) steps.
+
+    delta(i*p) = delta(i) and delta0 = delta off the multiples of p, so the
+    sum is P0(count) + P0(count // p) + P0(count // p^2) + ..., where
+    P0(M) = sum_{i <= M} delta0(i) is read from one period of delta0.
+    """
+    prefix = params.delta0_prefix
+    block = len(prefix) - 1
+    total = 0
+    while count:
+        whole, rest = divmod(count, block)
+        total += whole * prefix[block] + prefix[rest]
+        count //= params.p
+    return total
+
+
+def sum_decomposition(params: TowerParams, n: int) -> ANumberBreakdown:
+    """Evaluate the two split forms of the region count in O(n) big-integer
+    operations, without enumerating a column.
 
     First form: sum of (gamma-tau)*i over i <= t_n, plus the per-column
     heights p^n - floor(tau*i) for t_n < i <= floor(p^n/tau), minus the
     delta corrections on that range.  Second form: the difference of two
-    full floor sums minus the difference of two full delta sums.  The two
-    must agree; the test suite additionally pins both against the
-    per-column brute force.
+    full floor sums minus the same delta sum.  Floor sums go through
+    `_floor_sum`, delta sums through `_delta_prefix`; the two forms must
+    agree, and the test suite pins both against the per-column brute force.
     """
     p, d, r = params.p, params.d, params.r
     pn = p**n
     t = t_n(params, n)
     last = last_column(params, n)
-    _require_budget(last, budget)
     step = r * (p - 1) // d
     gamma_num = (p - 1) * r + p + 1  # gamma = gamma_num / d
 
-    head = 0
-    for i in range(1, t + 1):
-        head += step * i
-    mid = 0
-    tail = 0
-    for i in range(t + 1, last + 1):
-        mid += pn - (p + 1) * i // d
-        tail += delta(params, i)
+    head = step * t * (t + 1) // 2
+    mid = (last - t) * pn - _floor_sum(last - t, d, p + 1, (p + 1) * (t + 1))
+    tail = _delta_prefix(params, last) - _delta_prefix(params, t)
     first_form = head + mid - tail
 
-    floor_bracket = 0
-    delta_bracket = 0
-    for i in range(1, last + 1):
-        floor_bracket += pn - (p + 1) * i // d
-        delta_bracket += delta(params, i)
-    for i in range(1, t + 1):
-        floor_bracket -= pn - gamma_num * i // d
-        delta_bracket -= delta(params, i)
-    second_form = floor_bracket - delta_bracket
+    floor_bracket = ((last * pn - _floor_sum(last, d, p + 1, p + 1))
+                     - (t * pn - _floor_sum(t, d, gamma_num, gamma_num)))
+    second_form = floor_bracket - tail
 
     if first_form != second_form:
         raise InvariantViolationError(
             f"the two split forms disagree at n={n}: {first_form} vs {second_form}")
     return ANumberBreakdown(n=n, t_n=t, triangle_term=head,
                             delta_region_count=mid - tail, total=second_form,
-                            floor_sum_form=(floor_bracket, delta_bracket))
+                            floor_sum_form=(floor_bracket, tail))

@@ -1,6 +1,7 @@
 """Brute-force counters against hand counts, per-point oracles, and the
 triangle identity."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -9,16 +10,18 @@ import pytest
 from anum import (
     BudgetExceededError,
     TowerParams,
-    TriangleSpec,
     a_number_bruteforce,
+    closed_model,
     count_delta_region,
     delta,
     delta_tilde,
+    evaluate,
     last_column,
     sum_decomposition,
     t_n,
     triangle_lattice_count,
 )
+from anum.lattice import _delta_prefix, _floor_sum
 from helpers import (
     count_delta_region_pointwise,
     count_tilde_delta,
@@ -85,20 +88,13 @@ def test_count_tilde_delta():
     assert count_tilde_delta(slim, 1) == count_delta_region(slim, 1)
 
 
-def test_triangle_spec_vertices():
-    spec = TriangleSpec(P5D4R2, 1)
-    assert spec.vertices == (
-        (Fraction(0), Fraction(5)),
-        (Fraction(10, 3), Fraction(5)),
-        (Fraction(10, 7), Fraction(15, 7)),
-    )
-
-
 def test_triangle_count_against_point_oracle():
-    assert triangle_lattice_count(TriangleSpec(P5D4R2, 1)) == 8
+    assert triangle_lattice_count(P5D4R2, 1) == 8
+    with pytest.raises(ValueError):
+        triangle_lattice_count(P5D4R2, -1)
     for params in small_grid():
         for n in (1, 2):
-            assert (triangle_lattice_count(TriangleSpec(params, n))
+            assert (triangle_lattice_count(params, n)
                     == triangle_points_oracle(params, n)), (params, n)
 
 
@@ -106,7 +102,7 @@ def test_triangle_identity():
     # count = triangle points - top edge + boundary corrections
     for params in small_grid():
         for n in (1, 2, 3):
-            points = triangle_lattice_count(TriangleSpec(params, n))
+            points = triangle_lattice_count(params, n)
             last = last_column(params, n)
             corrections = sum(1 - delta_tilde(params, i)
                               for i in range(t_n(params, n) + 1, last + 1))
@@ -145,15 +141,39 @@ def test_sum_decomposition_matches_bruteforce_on_grid():
                 brute.t_n + 1, last_column(params, n) + 1)), (params, n)
 
 
+
+def test_floor_sum_against_naive_loop():
+    rng = random.Random(6)
+    for _ in range(400):
+        n, m = rng.randrange(0, 60), rng.randrange(1, 40)
+        a, b = rng.randrange(0, 100), rng.randrange(0, 100)
+        assert _floor_sum(n, m, a, b) == sum(
+            (a * i + b) // m for i in range(n)), (n, m, a, b)
+
+
+def test_delta_prefix_against_direct_sum():
+    for p, d in pd_grid():
+        params = TowerParams(p, d, 1)
+        running = 0
+        for count in range(0, 2001):
+            if count:
+                running += delta(params, count)
+            assert _delta_prefix(params, count) == running, (params, count)
+
+
+def test_sum_decomposition_at_n_1000_matches_closed_form():
+    # O(n) evaluation: no column budget applies, and n = 1000 takes milliseconds
+    params = TowerParams(13, 12, 20)
+    assert (sum_decomposition(params, 1000).total
+            == evaluate(closed_model(params), 1000))
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError) as info:
         count_delta_region(P5D4R2, 6, budget=10)
     assert "columns" in str(info.value)
     assert "budget is 10" in str(info.value)
     with pytest.raises(BudgetExceededError):
-        triangle_lattice_count(TriangleSpec(P5D4R2, 6), budget=10)
-    with pytest.raises(BudgetExceededError):
-        sum_decomposition(P5D4R2, 6, budget=10)
+        triangle_lattice_count(P5D4R2, 6, budget=10)
 
 
 def test_growth_plausibility():
