@@ -6,8 +6,14 @@ suite asserts them on its grid, so each law is written here only.
 
 Each law compares a function with a reference that does not call it:
 delta with the raw digit comparison `delta_lexicographic`, mu with floor
-and ceiling arithmetic, `delta0_average` with the direct sum of delta0
-over one period, and the closed form with brute force.
+arithmetic plus `delta_lexicographic` (and with ceiling arithmetic plus
+delta_tilde), `delta0_average` with the direct sum of delta0 over one
+period, and the closed form with brute force.
+
+The split forms (`sum_decomposition`) share no code with the closed form;
+the only table they read is `delta0_prefix`, the running sum of delta0 over
+one period, and the shift, reflection and average laws check delta0 over
+that period directly.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def checks(params: TowerParams, n_max: int, budget: int | None):
             scaled = (p + 1) * i
             floor_v = scaled // d
             ceil_v = -(-scaled // d)
-            if mu(params, i) != floor_v + delta(params, i):
+            if mu(params, i) != floor_v + delta_lexicographic(params, i):
                 return False
             if mu(params, i) != ceil_v - 1 + delta_tilde(params, i):
                 return False

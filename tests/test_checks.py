@@ -1,6 +1,7 @@
 """The law registry can fail: each check returns False on a planted fault."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -9,6 +10,12 @@ from anum import TowerParams
 from anum.checks import checks
 
 PARAMS = TowerParams(5, 4, 1)  # r = 1, so the first-power check is present
+
+# `anum.delta` is the re-exported function, so reach the module by name.
+# A fault planted in both modules acts like a fault in delta's own code:
+# `mu` and the registry then read the same faulty delta.
+CHECKS = (anum.checks,)
+EVERYWHERE = (anum.checks, importlib.import_module("anum.delta"))
 
 
 def flip_at_7(indicator):
@@ -28,19 +35,22 @@ def total_plus_one(brute):
     return planted
 
 
-# every check, in registry order, with the name it reads and the fault
+# every check, in registry order, with the name it reads, the fault, and
+# the modules the fault is planted in
 FAULTS = {
-    "delta digit test matches the lexicographic definition": ("delta", flip_at_7),
-    "mu equals floor+delta and ceil-1+delta_tilde": ("delta", flip_at_7),
-    "delta is invariant under multiplying i by p": ("delta", flip_at_7),
-    "delta0 shifts by tau_den*p": ("delta0", flip_at_7),
-    "delta0 reflects within one period": ("delta0", flip_at_7),
-    "delta0 average matches its closed form": ("delta0", flip_at_7),
-    "tau-side linear coefficient vanishes": ("delta_sum_linear_coeff", plus_one),
+    "delta digit test matches the lexicographic definition":
+        ("delta", flip_at_7, CHECKS),
+    "mu equals floor+delta and ceil-1+delta_tilde": ("delta", flip_at_7, EVERYWHERE),
+    "delta is invariant under multiplying i by p": ("delta", flip_at_7, CHECKS),
+    "delta0 shifts by tau_den*p": ("delta0", flip_at_7, CHECKS),
+    "delta0 reflects within one period": ("delta0", flip_at_7, CHECKS),
+    "delta0 average matches its closed form": ("delta0", flip_at_7, CHECKS),
+    "tau-side linear coefficient vanishes":
+        ("delta_sum_linear_coeff", plus_one, CHECKS),
     "n=1: brute force, split forms, closed form, and triangle count agree":
-        ("evaluate", plus_one),
+        ("evaluate", plus_one, CHECKS),
     "r=1 closed formula matches brute force":
-        ("a_number_bruteforce", total_plus_one),
+        ("a_number_bruteforce", total_plus_one, CHECKS),
 }
 
 
@@ -51,6 +61,7 @@ def test_every_check_has_a_planted_fault():
 @pytest.mark.parametrize("name", FAULTS)
 def test_check_fails_on_planted_fault(name, monkeypatch):
     assert dict(checks(PARAMS, 1, None))[name]() is True
-    attr, fault = FAULTS[name]
-    monkeypatch.setattr(anum.checks, attr, fault(getattr(anum.checks, attr)))
+    attr, fault, modules = FAULTS[name]
+    for module in modules:
+        monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
     assert dict(checks(PARAMS, 1, None))[name]() is False
