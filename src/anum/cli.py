@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -123,23 +124,41 @@ def _render(columns, rows, fmt, *, head=None, transpose=False) -> str:
     return _md_table(table)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None):
+    """Yield emit(text), which prints text or writes it to `out` atomically.
+
+    The temp file is created in out's directory on entry, so an unwritable
+    path fails before any work is done; emit renames it over `out`.
+    """
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
-    directory = os.path.dirname(os.path.abspath(out))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".anum-tmp-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                                   prefix=".anum-tmp-")
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+    handle = os.fdopen(fd, "w", encoding="utf-8", newline="")
+
+    def emit(text: str) -> None:
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            with handle:
                 handle.write(text)
             os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        except OSError as exc:
+            raise _unwritable(out, exc) from exc
+
+    try:
+        yield emit
+    finally:
+        handle.close()
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _unwritable(out: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def cmd_compute(args) -> int:
@@ -190,7 +209,7 @@ def cmd_formula(args) -> int:
                 f" + nu(n)  for n >= {data['N_r']}\n\n"
                 + _render([f"n mod {period}", "nu(n)"], enumerate(nu),
                           "markdown", transpose=True))
-    _emit(text, None)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -256,8 +275,10 @@ def cmd_sweep(args) -> int:
             for p in primes
             for d in _d_values(args.d_mode, p)
             for r in range(1, args.r_max + 1)]
-    rows = sweep(grid, budget=_budget(args))
-    _emit(_render(SWEEP_COLUMNS, map(astuple, rows), args.format), args.out)
+    budget = _budget(args)
+    with _output(args.out) as emit:
+        rows = sweep(grid, budget=budget)
+        emit(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
     failed = [row.error for row in rows if row.error]
     if not failed:
         return EXIT_OK
@@ -277,7 +298,7 @@ def cmd_delta_table(args) -> int:
             for i in range(1, args.i_max + 1)]
     text = _render(("i", "delta", "delta0", "delta_tilde"), rows, args.format,
                    head={"p": params.p, "d": params.d}, transpose=True)
-    _emit(text, None)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

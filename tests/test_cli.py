@@ -273,6 +273,27 @@ def test_sweep_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+
+def test_sweep_unwritable_out_fails_before_the_first_cell(capsys, tmp_path,
+                                                          monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before --out was checked")
+    monkeypatch.setattr(anum.cli, "sweep", no_sweep)
+    code, out, err = run(capsys, "sweep", "--p-list", "5,7,13", "--r-max", "8",
+                         "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+
+
+def test_sweep_leaves_no_temp_file_when_a_cell_raises(tmp_path, monkeypatch):
+    def failing_sweep(*args, **kwargs):
+        raise RuntimeError("planted")
+    monkeypatch.setattr(anum.cli, "sweep", failing_sweep)
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--p-list", "5", "--r-max", "1",
+              "--out", str(tmp_path / "x.csv")])
+    assert list(tmp_path.iterdir()) == []
+
 def test_sweep_csv_to_file(capsys, tmp_path):
     out_file = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "sweep", "--p-list", "5", "--d-mode", "list:2",
