@@ -1,10 +1,10 @@
 """Exact region counts for p-power covering towers with d | p-1.
 
 Three independent routes to the same integers: per-column brute force
-(`a_number_bruteforce`), the two split forms (`sum_decomposition`), and a
-closed quasi-polynomial (`closed_model` / `evaluate`), plus empirical
-period and delay measurement (`minimal_period`, `sweep`).  All arithmetic
-is exact rational.
+(`a_number_bruteforce`), the two split forms evaluated in O(n) big-integer
+operations (`sum_decomposition`), and a closed quasi-polynomial
+(`closed_model` / `evaluate`), plus empirical period and delay measurement
+(`minimal_period`, `sweep`).  All arithmetic is exact rational.
 """
 
 from .analysis import (

@@ -6,14 +6,12 @@ suite asserts them on its grid, so each law is written here only.
 
 Each law compares a function with a reference that does not call it:
 delta with the raw digit comparison `delta_lexicographic`, mu with floor
-arithmetic plus `delta_lexicographic` (and with ceiling arithmetic plus
-delta_tilde), `delta0_average` with the direct sum of delta0 over one
-period, and the closed form with brute force.
+arithmetic plus `delta_lexicographic`, `delta0_average` with the direct
+sum of delta0 over one period, and the closed form with brute force.
 
-The split forms (`sum_decomposition`) share no code with the closed form;
-the only table they read is `delta0_prefix`, the running sum of delta0 over
-one period, and the shift, reflection and average laws check delta0 over
-that period directly.
+The split forms share no code with the closed form.  The one table they
+read, `delta0_prefix`, is the running sum of delta0 over one period, and
+the shift, reflection and average laws check delta0 on that period.
 """
 
 from __future__ import annotations

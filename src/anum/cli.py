@@ -126,39 +126,25 @@ def _render(columns, rows, fmt, *, head=None, transpose=False) -> str:
 
 @contextmanager
 def _output(out: str | None):
-    """Yield emit(text), which prints text or writes it to `out` atomically.
-
-    The temp file is created in out's directory on entry, so an unwritable
-    path fails before any work is done; emit renames it over `out`.
-    """
+    """Yield a write function for stdout or, atomically, for `out`.  The
+    temp file is made in out's directory on entry, so an unwritable path
+    fails before any work is done; it is renamed over `out` on exit.  Any
+    OSError inside is a write failure: sweep keeps cell errors in rows."""
     if out is None:
         yield sys.stdout.write
         return
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
                                    prefix=".anum-tmp-")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle.write
+        os.replace(tmp, out)
     except OSError as exc:
-        raise _unwritable(out, exc) from exc
-    handle = os.fdopen(fd, "w", encoding="utf-8", newline="")
-
-    def emit(text: str) -> None:
-        try:
-            with handle:
-                handle.write(text)
-            os.replace(tmp, out)
-        except OSError as exc:
-            raise _unwritable(out, exc) from exc
-
-    try:
-        yield emit
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     finally:
-        handle.close()
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _unwritable(out: str, exc: OSError) -> UsageError:
-    return UsageError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def cmd_compute(args) -> int:
@@ -276,9 +262,9 @@ def cmd_sweep(args) -> int:
             for d in _d_values(args.d_mode, p)
             for r in range(1, args.r_max + 1)]
     budget = _budget(args)
-    with _output(args.out) as emit:
+    with _output(args.out) as write:
         rows = sweep(grid, budget=budget)
-        emit(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
+        write(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
     failed = [row.error for row in rows if row.error]
     if not failed:
         return EXIT_OK

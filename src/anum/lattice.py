@@ -110,12 +110,9 @@ def a_number_bruteforce(params: TowerParams, n: int,
 
 def triangle_lattice_count(params: TowerParams, n: int,
                            budget: int | None = None) -> int:
-    """Number of integer points on or inside the closed triangle with
-    vertices (0, p^n), (p^n/tau, p^n) and (p^n/gamma, tau*p^n/gamma),
-    bounded by y = p^n, y = tau*x and y = p^n - (gamma - tau)*x.
-
-    Counted column by column; gamma - tau = r(p-1)/d is an integer, so
-    only the tau edge needs a ceiling.
+    """Integer points on or inside the closed triangle bounded by y = p^n,
+    y = tau*x and y = p^n - (gamma - tau)*x, counted column by column;
+    gamma - tau = r(p-1)/d is an integer, so only y = tau*x needs a ceiling.
     """
     last = last_column(params, n)
     _require_budget(last + 1, budget)
@@ -139,7 +136,7 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     the roles of a and m.  O(log m) steps.
     """
     total = 0
-    while n:
+    while True:
         qa, a = divmod(a, m)
         qb, b = divmod(b, m)
         total += qa * n * (n - 1) // 2 + qb * n
@@ -148,7 +145,6 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
             return total
         n, b = divmod(top, m)
         m, a = a, m
-    return total
 
 
 def _delta_prefix(params: TowerParams, count: int) -> int:
@@ -169,15 +165,13 @@ def _delta_prefix(params: TowerParams, count: int) -> int:
 
 
 def sum_decomposition(params: TowerParams, n: int) -> ANumberBreakdown:
-    """Evaluate the two split forms of the region count in O(n) big-integer
-    operations, without enumerating a column.
+    """The two split forms of the region count, evaluated with O(n)
+    big-integer operations and no enumeration.
 
-    First form: sum of (gamma-tau)*i over i <= t_n, plus the per-column
-    heights p^n - floor(tau*i) for t_n < i <= floor(p^n/tau), minus the
-    delta corrections on that range.  Second form: the difference of two
-    full floor sums minus the same delta sum.  Floor sums go through
-    `_floor_sum`, delta sums through `_delta_prefix`; the two forms must
-    agree, and the test suite pins both against the per-column brute force.
+    First form: sum of (gamma-tau)*i over i <= t_n, plus the heights
+    p^n - floor(tau*i) for t_n < i <= floor(p^n/tau), minus the delta sum
+    on that range.  Second form: the difference of two full floor sums
+    minus the same delta sum.  The two must agree.
     """
     p, d, r = params.p, params.d, params.r
     pn = p**n

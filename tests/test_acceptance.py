@@ -60,7 +60,6 @@ def test_criterion_01_three_way_agreement():
                     assert evaluate(model, n) == brute.total, (params, n)
 
 
-
 def test_criterion_11_split_forms_match_closed_form_to_n50():
     with criterion(11, "split forms equal the closed form from N_r to n=50 "
                        "on the grid"):
@@ -69,6 +68,7 @@ def test_criterion_11_split_forms_match_closed_form_to_n50():
             for n in range(model.delay, 51):
                 assert sum_decomposition(params, n).total == evaluate(model, n), (
                     params, n)
+
 
 def test_criterion_02_closed_model_p5_d4_r2():
     with criterion(2, "p=5 d=4 r=2 model: quad 4/21, lambda 1/3, period 3, "
