@@ -44,7 +44,6 @@ from .errors import BudgetExceededError, InvariantViolationError, PreDelayError
 from .exact_arith import (
     BasePExpansion,
     PAdicForm,
-    Rational,
     digit,
     divisors,
     expand,
@@ -84,7 +83,6 @@ __all__ = [
     "PairingRecord",
     "PeriodReport",
     "PreDelayError",
-    "Rational",
     "SweepRow",
     "TowerParams",
     "a_number_bruteforce",

@@ -213,50 +213,45 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_primes(text):
-    out = []
+def _int_list(text, flag, noun, check):
+    """The comma-separated integers in text, deduplicated and sorted.  Blank
+    pieces are skipped; check(value) raises UsageError on a bad entry."""
+    out = set()
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            p = int(piece)
+            value = int(piece)
         except ValueError:
-            raise UsageError(f"--p-list entries must be integers, got {piece!r}")
-        if p == 2 or not is_prime(p):
-            raise UsageError(f"--p-list entries must be odd primes, got {p}")
-        out.append(p)
+            raise UsageError(f"{flag} entries must be integers, got {piece!r}")
+        check(value)
+        out.add(value)
     if not out:
-        raise UsageError("--p-list must name at least one prime")
-    return sorted(set(out))
+        raise UsageError(f"{flag} must name at least one {noun}")
+    return sorted(out)
+
+
+def _check_prime(p):
+    if p == 2 or not is_prime(p):
+        raise UsageError(f"--p-list entries must be odd primes, got {p}")
 
 
 def _d_values(mode, p):
     if mode == "all-divisors":
         return divisors(p - 1)
     if mode.startswith("list:"):
-        out = []
-        for piece in mode[len("list:"):].split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                d = int(piece)
-            except ValueError:
-                raise UsageError(f"--d-mode list entries must be integers, got {piece!r}")
+        def check(d):
             if d < 1 or (p - 1) % d != 0:
                 raise UsageError(f"d must divide p-1: got d={d}, p={p}")
-            out.append(d)
-        if not out:
-            raise UsageError("--d-mode list must name at least one d")
-        return sorted(set(out))
+        return _int_list(mode[len("list:"):], "--d-mode list", "d", check)
     raise UsageError(f"--d-mode must be all-divisors or list:D1,D2,..., got {mode!r}")
 
 
 def cmd_sweep(args) -> int:
     if args.r_max < 0:
         raise UsageError(f"--r-max must be >= 0, got {args.r_max}")
-    primes = _parse_primes(args.p_list)
+    primes = _int_list(args.p_list, "--p-list", "prime", _check_prime)
     grid = [(p, d, r)
             for p in primes
             for d in _d_values(args.d_mode, p)

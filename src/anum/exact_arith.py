@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
 
-
-def format_rational(q: Rational | int) -> str:
+def format_rational(q: Fraction | int) -> str:
     """Render q as "a/b" in lowest terms, or just "a" when q is integral."""
     q = Fraction(q)
     if q.denominator == 1:
@@ -94,7 +92,7 @@ def multiplicative_order(a: int, m: int) -> int:
     return order
 
 
-def frac_part(q: Rational | int) -> Fraction:
+def frac_part(q: Fraction | int) -> Fraction:
     """{q} = q - floor(q), exactly."""
     q = Fraction(q)
     return q - math.floor(q)
@@ -111,7 +109,7 @@ class PAdicForm:
     den: int
 
 
-def p_adic_decompose(x: Rational | int, p: int) -> PAdicForm:
+def p_adic_decompose(x: Fraction | int, p: int) -> PAdicForm:
     """Split positive x as p^v * num/den, pulling every factor of p into v."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -129,7 +127,7 @@ def p_adic_decompose(x: Rational | int, p: int) -> PAdicForm:
     return PAdicForm(p=p, v=v, num=num, den=den)
 
 
-def digit(x: Rational | int, p: int, k: int) -> int:
+def digit(x: Fraction | int, p: int, k: int) -> int:
     """The base-p digit of x at position k: floor(x / p^k) reduced mod p.
 
     Positions left of the radix point are k >= 0, fractional digits sit at
@@ -173,7 +171,7 @@ class BasePExpansion:
         """Average of the repeating digits."""
         return Fraction(sum(self.period_digits), len(self.period_digits))
 
-def expand(x: Rational | int, p: int) -> BasePExpansion:
+def expand(x: Fraction | int, p: int) -> BasePExpansion:
     """Digit expansion of x > 0 in base p.
 
     Fractional digits come from long division, so the cost is the delay
@@ -201,7 +199,7 @@ def expand(x: Rational | int, p: int) -> BasePExpansion:
     )
 
 
-def frac_part_pn(x: Rational | int, p: int, n: int) -> Fraction:
+def frac_part_pn(x: Fraction | int, p: int, n: int) -> Fraction:
     """{x * p^n}.  Periodic in n once n clears the delay of x, with period
     equal to the digit period and average digit_average/(p-1).  With
     x = a/b this is (a*p^n mod b)/b, so p^n is only needed modulo b."""
@@ -214,7 +212,7 @@ def frac_part_pn(x: Rational | int, p: int, n: int) -> Fraction:
     return Fraction(x.numerator * pow(p, n, b) % b, b)
 
 
-def floor_pn_mod(x: Rational | int, p: int, n: int, m: int) -> int:
+def floor_pn_mod(x: Fraction | int, p: int, n: int, m: int) -> int:
     """floor(x * p^n) mod m, exactly.
 
     Periodic in n with the digit period of x: from the delay on when m

@@ -2,11 +2,13 @@
 split forms of the same count.
 
 The counters are the ground truth that every closed form in the package
-is tested against.  They work per column (cost O(d * p^n / (p+1))
-small-integer operations), and all enumeration is guarded by an explicit
-column budget so a mistyped n fails fast instead of hanging.  The split
-forms (floor sums minus delta sums) are evaluated, not enumerated: O(n)
-big-integer operations, with no budget.
+is tested against.  Brute force takes the triangle bulk in closed form and
+walks only the delta-region columns t_n < i <= floor(p^n/tau), that is
+O(d * p^n * (1/(p+1) - 1/((p-1)r + p + 1))) small-integer operations, and
+all enumeration is guarded by an explicit column budget so a mistyped n
+fails fast instead of hanging.  The split forms (floor sums minus delta
+sums) are evaluated, not enumerated: O(n) big-integer operations, with no
+budget.
 """
 
 from __future__ import annotations
@@ -46,29 +48,17 @@ def last_column(params: TowerParams, n: int) -> int:
 def count_delta_region(params: TowerParams, n: int, budget: int | None = None) -> int:
     """#{(i, j) : i > t_n and mu(i) <= j <= p^n - 1}, column by column.
 
-    Columns where mu(i) > p^n - 1 near the right vertex are empty, hence
-    the clamp at zero.
+    No column needs a clamp: p+1 does not divide d * p^n (d < p+1 and p
+    is prime to p+1), so tau*i < p^n for i <= floor(p^n/tau), hence
+    mu(i) <= p^n.  t_n <= last_column because gamma >= tau.
     """
     t = t_n(params, n)
     last = last_column(params, n)
-    _require_budget(max(0, last - t), budget)
+    _require_budget(last - t, budget)
     pn = params.p**n
     total = 0
     for i in range(t + 1, last + 1):
-        total += max(0, pn - mu(params, i))
-    return total
-
-
-def _wide_columns_count(params: TowerParams, n: int) -> int:
-    """Points with i <= t_n and p^n - i*r*(p-1)/d <= j <= p^n - 1, counted
-    from the definition column by column."""
-    t = t_n(params, n)
-    step = params.r * (params.p - 1) // params.d  # integral since d | p-1
-    pn = params.p**n
-    total = 0
-    for i in range(1, t + 1):
-        low = max(1, pn - i * step)
-        total += max(0, pn - 1 - low + 1)
+        total += pn - mu(params, i)
     return total
 
 
@@ -91,18 +81,11 @@ class ANumberBreakdown:
 
 def a_number_bruteforce(params: TowerParams, n: int,
                         budget: int | None = None) -> ANumberBreakdown:
-    """The count r(p-1)t_n(t_n+1)/(2d) + #(delta region), cross-checked
-    against the widened-region count before returning."""
+    """The count r(p-1)t_n(t_n+1)/(2d) + #(delta region): the triangle bulk
+    in closed form, the delta region column by column."""
     t = t_n(params, n)
-    doubled = params.r * (params.p - 1) * t * (t + 1)
-    if doubled % (2 * params.d) != 0:
-        raise InvariantViolationError("triangle term is not integral")
-    triangle = doubled // (2 * params.d)
-    wide = _wide_columns_count(params, n)
-    if wide != triangle:
-        raise InvariantViolationError(
-            f"triangle term {triangle} disagrees with the per-column count "
-            f"{wide} at n={n}")
+    step = params.r * (params.p - 1) // params.d  # integral since d | p-1
+    triangle = step * t * (t + 1) // 2
     region = count_delta_region(params, n, budget)
     return ANumberBreakdown(n=n, t_n=t, triangle_term=triangle,
                             delta_region_count=region, total=triangle + region)
@@ -113,6 +96,7 @@ def triangle_lattice_count(params: TowerParams, n: int,
     """Integer points on or inside the closed triangle bounded by y = p^n,
     y = tau*x and y = p^n - (gamma - tau)*x, counted column by column;
     gamma - tau = r(p-1)/d is an integer, so only y = tau*x needs a ceiling.
+    Every column is non-empty: tau*x <= p^n for x <= floor(p^n/tau).
     """
     last = last_column(params, n)
     _require_budget(last + 1, budget)
@@ -121,9 +105,7 @@ def triangle_lattice_count(params: TowerParams, n: int,
     step = params.r * (p - 1) // d
     count = 0
     for x in range(last + 1):
-        ymin = max(-(-(p + 1) * x // d), pn - step * x)
-        if ymin <= pn:
-            count += pn - ymin + 1
+        count += pn + 1 - max(-(-(p + 1) * x // d), pn - step * x)
     return count
 
 

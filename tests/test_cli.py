@@ -372,6 +372,19 @@ def test_sweep_rejects_bad_grid(capsys):
     assert code == 2 and "divide p-1" in err
 
 
+@pytest.mark.parametrize("flags, line", [
+    (("--p-list", "5,x"), "error: --p-list entries must be integers, got 'x'"),
+    (("--p-list", ","), "error: --p-list must name at least one prime"),
+    (("--p-list", "5", "--d-mode", "list:x"),
+     "error: --d-mode list entries must be integers, got 'x'"),
+    (("--p-list", "5", "--d-mode", "list:"),
+     "error: --d-mode list must name at least one d"),
+])
+def test_sweep_list_parse_errors(capsys, flags, line):
+    code, out, err = run(capsys, "sweep", *flags, "--r-max", "1")
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_output_is_deterministic(capsys):
     outputs = set()
     for _ in range(2):

@@ -17,6 +17,7 @@ from anum import (
     delta_tilde,
     evaluate,
     last_column,
+    mu,
     sum_decomposition,
     t_n,
     triangle_lattice_count,
@@ -96,6 +97,20 @@ def test_triangle_count_against_point_oracle():
         for n in (1, 2):
             assert (triangle_lattice_count(params, n)
                     == triangle_points_oracle(params, n)), (params, n)
+
+
+def test_column_loops_need_no_clamp():
+    # every delta-region column has p^n - mu(i) >= 0, and every triangle
+    # column has ceil(tau*x) <= p^n, so neither loop clamps
+    for params in full_grid():
+        p, d = params.p, params.d
+        for n in range(5):
+            pn = p**n
+            t, last = t_n(params, n), last_column(params, n)
+            assert all(pn - mu(params, i) >= 0
+                       for i in range(t + 1, last + 1)), (params, n)
+            assert all(-(-(p + 1) * x // d) <= pn
+                       for x in range(last + 1)), (params, n)
 
 
 def test_triangle_identity():
