@@ -29,7 +29,6 @@ from .closed_form import (
     minimal_nu_period,
     model_to_dict,
     nu_value,
-    reduced_nu_table,
 )
 from .delta import (
     TowerParams,
@@ -42,11 +41,9 @@ from .delta import (
 )
 from .errors import BudgetExceededError, InvariantViolationError, PreDelayError
 from .exact_arith import (
-    BasePExpansion,
     PAdicForm,
     digit,
     divisors,
-    expand,
     floor_pn_mod,
     format_rational,
     frac_part,
@@ -72,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "A_fn",
     "ANumberBreakdown",
-    "BasePExpansion",
     "BudgetExceededError",
     "ClosedFormModel",
     "DEFAULT_COLUMN_BUDGET",
@@ -100,7 +96,6 @@ __all__ = [
     "digit",
     "divisors",
     "evaluate",
-    "expand",
     "floor_pn_mod",
     "floor_sum_closed",
     "format_rational",
@@ -117,7 +112,6 @@ __all__ = [
     "nu_value",
     "p_adic_decompose",
     "prefix_sum",
-    "reduced_nu_table",
     "sum_decomposition",
     "sweep",
     "t_n",

@@ -19,10 +19,19 @@ partial-period correction F(1/x, e).  Summing the exponents yields
 
     (1/2)(1/x)(1 - 1/tau_den) p^n + c * n + B(1/x, n)
 
-with linear coefficient c = <F(1/x)> - <digits of 1/x>/(2p) * (1 - 1/tau_den).
-B is extracted definitionally, as the exact sum minus the p^n and linear
-parts, so no transcribed constant can drift; its periodicity is then
-re-checked when models are assembled.
+with linear coefficient c = <F(1/x)> - <digits of 1/x>/(2p) * (1 - 1/tau_den),
+where <digits of 1/x> = (p-1) * <{p^e/x}>.  The residue
+
+    B(1/x, n) = sum_{e<=n} F(1/x, e) - <delta0> sum_{e<=n} {p^e/x}
+                - (1 - 1/tau_den)/(2px) - c * n
+
+is the primitive: it forms no p^n, and `delta_sum_closed` adds the p^n and
+linear parts back.  The lead and B are checked against term-by-term sums
+(`test_delta_sum_closed_matches_naive_on_grid`), against the O(n) split
+forms over two periods past the delay
+(`test_closed_sums_certified_by_split_form_oracle`) and through the model
+up to n = 50 (acceptance criterion 11); B's periodicity is re-checked when
+models are assembled.
 
 On the tau side the linear coefficient vanishes identically, so the count
 
@@ -47,7 +56,6 @@ from .delta import TowerParams, delta0_average
 from .errors import InvariantViolationError, PreDelayError
 from .exact_arith import (
     divisors,
-    expand,
     floor_pn_mod,
     format_rational,
     frac_part,
@@ -71,11 +79,10 @@ def A_fn(x_inv: Fraction, p: int, n: int) -> Fraction:
         raise ValueError(f"n must be non-negative, got {n}")
     x_inv = Fraction(x_inv)
     x = 1 / x_inv
-    form = p_adic_decompose(x, p)
-    if form.v < 0:
+    den = x.denominator  # prime to p exactly when v_p(x) >= 0
+    if den % p == 0:
         raise ValueError(
-            f"1/x_inv must have non-negative p-adic valuation, got {form.v}")
-    den = form.den
+            f"1/x_inv must have non-negative p-adic valuation, got {x}")
     fp = frac_part_pn(x_inv, p, n)
     head = (Fraction(-(den - 1), den) + x * (1 - fp)) * fp / 2
     return head + _centred_frac_sums(x)[floor_pn_mod(x_inv, p, n, den)]
@@ -97,15 +104,14 @@ def floor_sum_closed(x: Fraction | int, p: int, n: int) -> Fraction:
     Requires v_p(x) >= 0 (true for both tau and gamma).
     """
     x = Fraction(x)
-    form = p_adic_decompose(x, p)
-    if form.v < 0:
-        raise ValueError(
-            f"x must have non-negative p-adic valuation, got {form.v}")
+    if x.denominator % p == 0:
+        raise ValueError(f"x must have non-negative p-adic valuation, got {x}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x_inv = 1 / x
     pn = p**n
-    lead = x_inv * pn * pn / 2 + (x_inv * (1 - Fraction(1, form.den)) - 1) * pn / 2
+    lead = (x_inv * pn * pn / 2
+            + (x_inv * (1 - Fraction(1, x.denominator)) - 1) * pn / 2)
     return lead + A_fn(x_inv, p, n)
 
 
@@ -128,9 +134,19 @@ def _exponent_seqs(
     x: Fraction, params: TowerParams
 ) -> tuple[EventuallyPeriodicSeq, EventuallyPeriodicSeq]:
     """Eventually periodic models, over the exponent e shifted to 1-based
-    indexing, of {p^e/x} and of F(1/x, e)."""
+    indexing, of {p^e/x} and of F(1/x, e).
+
+    Requires x >= 1 with prime-to-p denominator equal to tau_den (both tau
+    and gamma qualify); this is the one place the delta side checks x.
+    """
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
     p = params.p
     form = p_adic_decompose(x, p)
+    if form.den != params.tau_den:
+        raise ValueError(
+            f"prime-to-p denominator of x must equal {params.tau_den}, "
+            f"got {form.den}")
     start = max(0, form.v)  # fractional parts repeat from e = start
     length = multiplicative_order(p, form.num)
     x_inv = 1 / x
@@ -148,29 +164,31 @@ def _exponent_seqs(
     return frac_seq, f_seq
 
 
+def delta_sum_residue(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
+    """B(1/x, n): the delta sum minus its p^n and linear parts, from the
+    exponent sequences alone.  Periodic for n >= the delay of 1/x with its
+    digit period; O(1) once the sequences for x are built."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    x = Fraction(x)
+    frac_seq, f_seq = _exponent_seqs(x, params)
+    return (prefix_sum(f_seq, n + 1)
+            - delta0_average(params) * prefix_sum(frac_seq, n + 1)
+            - (1 - Fraction(1, params.tau_den)) / (2 * params.p * x)
+            - delta_sum_linear_coeff(x, params) * n)
+
+
 def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
     """sum_{i=1}^{floor(p^n/x)} delta(i) via the exponent decomposition.
 
     Requires x >= 1 with prime-to-p denominator equal to tau_den (both tau
-    and gamma qualify).  Exact for every n >= 0; cost O(delay + period).
+    and gamma qualify).  Exact for every n >= 0; O(1) after the per-x
+    build of the exponent sequences.
     """
     x = Fraction(x)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    p = params.p
-    form = p_adic_decompose(x, p)
-    if form.den != params.tau_den:
-        raise ValueError(
-            f"prime-to-p denominator of x must equal {params.tau_den}, "
-            f"got {form.den}")
-    frac_seq, f_seq = _exponent_seqs(x, params)
-    x_inv = 1 / x
-    lead = (1 - Fraction(1, params.tau_den)) * (p**n - Fraction(1, p)) * x_inv / 2
-    return (lead
-            - delta0_average(params) * prefix_sum(frac_seq, n + 1)
-            + prefix_sum(f_seq, n + 1))
+    residue = delta_sum_residue(x, params, n)
+    lead = (1 - Fraction(1, params.tau_den)) / (2 * x) * params.p**n
+    return lead + delta_sum_linear_coeff(x, params) * n + residue
 
 
 @lru_cache(maxsize=128)
@@ -179,28 +197,20 @@ def delta_sum_linear_coeff(x: Fraction, params: TowerParams) -> Fraction:
 
         <F(1/x)> - <digits of 1/x> / (2p) * (1 - 1/tau_den)
 
-    with <F> averaged over one period past the delay (the cycle of the
-    F sequence).  Vanishes for x = tau.
+    with both averages over one period past the delay (the cycles of the
+    exponent sequences) and <digits of 1/x> = (p-1) * <{p^e/x}>.  Vanishes
+    for x = tau.
     """
     p = params.p
-    avg_f = _exponent_seqs(Fraction(x), params)[1].average
-    digit_avg = expand(1 / Fraction(x), p).digit_average
-    return avg_f - digit_avg / (2 * p) * (1 - Fraction(1, params.tau_den))
+    frac_seq, f_seq = _exponent_seqs(Fraction(x), params)
+    digit_avg = (p - 1) * frac_seq.average
+    return f_seq.average - digit_avg / (2 * p) * (1 - Fraction(1, params.tau_den))
 
 
 def lambda_r(params: TowerParams) -> Fraction:
     """Linear coefficient of the full quasi-polynomial (the gamma side's;
     the tau side's vanishes)."""
     return delta_sum_linear_coeff(params.gamma, params)
-
-
-def delta_sum_residue(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
-    """B(1/x, n): the exact delta sum minus its p^n and linear parts.
-    Periodic for n >= the delay of 1/x with its digit period."""
-    x = Fraction(x)
-    lead = (1 - Fraction(1, params.tau_den)) / (2 * x) * params.p**n
-    return (delta_sum_closed(x, params, n) - lead
-            - delta_sum_linear_coeff(x, params) * n)
 
 
 def nu_value(params: TowerParams, n: int) -> Fraction:
@@ -296,15 +306,10 @@ def minimal_nu_period(model: ClosedFormModel) -> int:
     return full
 
 
-def reduced_nu_table(model: ClosedFormModel) -> tuple[Fraction, ...]:
-    """nu_table cut down to its minimal period (indexed by n mod that period)."""
-    return model.nu_table[:minimal_nu_period(model)]
-
-
 def model_to_dict(model: ClosedFormModel) -> dict:
     """JSON-ready rendering: {p, d, r, quad, lambda, N_r, period, nu}, with
     the nu table cut to its minimal period."""
-    nu = reduced_nu_table(model)
+    nu = model.nu_table[:minimal_nu_period(model)]
     return {
         "p": model.params.p,
         "d": model.params.d,

@@ -1,4 +1,4 @@
-"""Exact rationals, p-adic splitting, and base-p digit machinery.
+"""Exact rationals, p-adic splitting, base-p digits, and digit periods.
 
 All arithmetic here is exact: rationals are `fractions.Fraction` (arbitrary
 precision, always stored reduced) and floors, fractional parts, and digits
@@ -142,66 +142,9 @@ def digit(x: Fraction | int, p: int, k: int) -> int:
     return a * p**-k // b % p
 
 
-@dataclass(frozen=True)
-class BasePExpansion:
-    """Base-p digits of a positive rational.
-
-    integer_digits are least significant first.  The fractional digits are
-    the preperiod (positions -1 .. -delay) followed by period_digits
-    repeating forever.  Both the delay and the period length are minimal:
-    the period length is the multiplicative order of p modulo the
-    prime-to-p denominator, the delay is max(0, -v_p(x)).
-    """
-
-    p: int
-    integer_digits: tuple[int, ...]
-    preperiod_digits: tuple[int, ...]
-    period_digits: tuple[int, ...]
-
-    @property
-    def delay(self) -> int:
-        return len(self.preperiod_digits)
-
-    @property
-    def period_length(self) -> int:
-        return len(self.period_digits)
-
-    @property
-    def digit_average(self) -> Fraction:
-        """Average of the repeating digits."""
-        return Fraction(sum(self.period_digits), len(self.period_digits))
-
-def expand(x: Fraction | int, p: int) -> BasePExpansion:
-    """Digit expansion of x > 0 in base p.
-
-    Fractional digits come from long division, so the cost is the delay
-    plus one period of small divmod steps.
-    """
-    form = p_adic_decompose(x, p)  # validates x and p
-    x = Fraction(x)
-    delay = max(0, -form.v)
-    period = multiplicative_order(p, form.den)
-    ipart, rem = divmod(x.numerator, x.denominator)
-    int_digits = []
-    while ipart > 0:
-        ipart, low = divmod(ipart, p)
-        int_digits.append(low)
-    b = x.denominator
-    frac_digits = []
-    for _ in range(delay + period):
-        dig, rem = divmod(rem * p, b)
-        frac_digits.append(dig)
-    return BasePExpansion(
-        p=p,
-        integer_digits=tuple(int_digits),
-        preperiod_digits=tuple(frac_digits[:delay]),
-        period_digits=tuple(frac_digits[delay:]),
-    )
-
-
 def frac_part_pn(x: Fraction | int, p: int, n: int) -> Fraction:
     """{x * p^n}.  Periodic in n once n clears the delay of x, with period
-    equal to the digit period and average digit_average/(p-1).  With
+    equal to the digit period and average (mean repeating digit)/(p-1).  With
     x = a/b this is (a*p^n mod b)/b, so p^n is only needed modulo b."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

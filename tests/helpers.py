@@ -3,8 +3,8 @@
 The oracles here never call the code path they check: floor sums and
 delta sums are term-by-term loops, the triangle and the delta region are
 counted point by point with exact comparisons, digit periods come from
-long-division remainder cycling, and rationals are reassembled from their
-p-adic forms and digit expansions.
+long-division remainder cycling, digits from `digit` over one period,
+and rationals are reassembled from their p-adic forms.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from anum import (
     delta,
     delta0,
     delta0_average,
+    digit,
     divisors,
     last_column,
     mu,
@@ -93,6 +94,14 @@ def longdiv_delay_period(x, p):
         a = a * p % b
         k += 1
     return seen[a], k - seen[a]
+
+
+def digit_average(x, p):
+    """Mean of the repeating fractional digits of x in base p, read with
+    `digit` over one period past the delay."""
+    delay, period = longdiv_delay_period(x, p)
+    digits = [digit(x, p, -j) for j in range(delay + 1, delay + period + 1)]
+    return Fraction(sum(digits), period)
 
 
 def count_delta_region_pointwise(params, n):
@@ -168,35 +177,3 @@ def p_adic_value(form):
     if form.v >= 0:
         return Fraction(form.num * form.p**form.v, form.den)
     return Fraction(form.num, form.den * form.p**-form.v)
-
-
-def expansion_value(exp):
-    """Reassemble the rational of a BasePExpansion: integer part,
-    preperiod, then the repeating block summed as a geometric series."""
-    p = exp.p
-    total = Fraction(0)
-    for j, dig in enumerate(exp.integer_digits):
-        total += dig * Fraction(p) ** j
-    for j, dig in enumerate(exp.preperiod_digits, start=1):
-        total += Fraction(dig, p**j)
-    length = len(exp.period_digits)
-    block = _digits_value(exp.period_digits, p)
-    total += Fraction(block, p**exp.delay * (p**length - 1))
-    return total
-
-
-def _digits_value(digits, p):
-    """The integer whose base-p digits, most significant first, are digits.
-
-    Divide and conquer (hi * p^len(lo) + lo) keeps the big-integer
-    products balanced, where Horner's rule would be quadratic in the
-    number of digits.
-    """
-    if len(digits) <= 64:
-        value = 0
-        for dig in digits:
-            value = value * p + dig
-        return value
-    mid = len(digits) // 2
-    lo = digits[mid:]
-    return _digits_value(digits[:mid], p) * p**len(lo) + _digits_value(lo, p)

@@ -19,17 +19,18 @@ from anum import (
     delta_sum_closed,
     delta_sum_residue,
     evaluate,
-    expand,
     floor_sum_closed,
     lambda_r,
     minimal_nu_period,
     model_to_dict,
-    reduced_nu_table,
+    sum_decomposition,
 )
 from anum.checks import checks
 from helpers import (
+    digit_average,
     floor_inv_pn,
     full_grid,
+    longdiv_delay_period,
     naive_delta_sum,
     naive_floor_sum,
     pd_grid,
@@ -106,8 +107,7 @@ def test_A_fn_periodicity():
         for r in (2, 7):
             params = TowerParams(p, d, r)
             for x in (params.tau, params.gamma):
-                exp = expand(1 / x, p)
-                delay, length = exp.delay, exp.period_length
+                delay, length = longdiv_delay_period(1 / x, p)
                 for n in range(delay, delay + 2 * length):
                     assert A_fn(1 / x, p, n) == A_fn(1 / x, p, n + length)
 
@@ -162,6 +162,22 @@ def test_delta_sum_pinned_residues():
         assert delta_sum_residue(params.gamma, params, n) == DELTA_SUM_RESIDUES[n % 6]
 
 
+def test_closed_sums_certified_by_split_form_oracle():
+    # the O(n) split forms enumerate nothing and never read A, B or F, so
+    # they certify both closed sums, p^n lead included, over two periods
+    # past the delay (L reaches 126 here)
+    for p, d, r in ((5, 4, 61), (7, 6, 4), (13, 4, 7), (13, 12, 20), (19, 18, 25)):
+        params = TowerParams(p, d, r)
+        model = closed_model(params)
+        tau, gamma = params.tau, params.gamma
+        for n in range(model.delay + 2 * model.claimed_period):
+            closed = (floor_sum_closed(tau, p, n) - floor_sum_closed(gamma, p, n),
+                      delta_sum_closed(tau, params, n)
+                      - delta_sum_closed(gamma, params, n))
+            assert sum_decomposition(params, n).floor_sum_form == closed, (
+                p, d, r, n)
+
+
 def test_tau_side_linear_coefficient_vanishes():
     for p, d in pd_grid():
         laws = dict(checks(TowerParams(p, d, 1), 0, None))
@@ -171,7 +187,7 @@ def test_tau_side_linear_coefficient_vanishes():
 def test_tau_inverse_digit_average():
     for p, d in pd_grid():
         params = TowerParams(p, d, 1)
-        assert expand(1 / params.tau, p).digit_average == Fraction(p - 1, 2)
+        assert digit_average(1 / params.tau, p) == Fraction(p - 1, 2)
 
 
 def test_reflected_indicator_block_sum():
@@ -197,7 +213,7 @@ def test_closed_model_pinned():
     assert model.delay == 0
     assert model.claimed_period == 6
     assert minimal_nu_period(model) == 3
-    assert reduced_nu_table(model) == (
+    assert model.nu_table[:minimal_nu_period(model)] == (
         Fraction(-4, 21), Fraction(-2, 21), Fraction(2, 7))
 
 

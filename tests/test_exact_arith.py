@@ -1,4 +1,4 @@
-"""Digit machinery: pinned examples plus randomized round trips."""
+"""Exact arithmetic: pinned examples plus randomized round trips."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from anum import (
     TowerParams,
     digit,
     divisors,
-    expand,
     floor_pn_mod,
     format_rational,
     frac_part_pn,
@@ -18,7 +17,7 @@ from anum import (
     multiplicative_order,
     p_adic_decompose,
 )
-from helpers import expansion_value, longdiv_delay_period, p_adic_value
+from helpers import digit_average, longdiv_delay_period, p_adic_value
 
 
 def test_p_adic_decompose_examples():
@@ -63,53 +62,25 @@ def test_digit_examples():
     assert digit(Fraction(3, 2), 5, 3) == 0
 
 
-def test_expand_examples():
-    exp = expand(Fraction(2, 7), 5)
-    assert exp.period_digits == (1, 2, 0, 3, 2, 4)
-    assert exp.period_length == 6
-    assert exp.delay == 0
-    assert exp.digit_average == 2
-
-    exp = expand(Fraction(2, 3), 5)
-    assert exp.period_length == 2
-    assert exp.delay == 0
-    assert exp.digit_average == 2
-
+def test_digit_delay_period_examples():
+    # 2/7 in base 5 is .(120324) repeating
+    assert longdiv_delay_period(Fraction(2, 7), 5) == (0, 6)
+    assert [digit(Fraction(2, 7), 5, -j) for j in range(1, 7)] == [1, 2, 0, 3, 2, 4]
+    assert digit_average(Fraction(2, 7), 5) == 2
+    assert longdiv_delay_period(Fraction(2, 3), 5) == (0, 2)
+    assert digit_average(Fraction(2, 3), 5) == 2
+    # fractional part scaled by p^3: three preperiod digits
+    assert longdiv_delay_period(Fraction(2, 7 * 125), 5) == (3, 6)
     # m/d has period 1 whenever d | p-1
     for p in (5, 7, 13):
         for d in divisors(p - 1):
             for m in (1, 2, 3, d + 1):
-                assert expand(Fraction(m, d), p).period_length == 1
+                assert longdiv_delay_period(Fraction(m, d), p)[1] == 1
 
 
-def test_expand_delay_example():
-    # fractional part scaled by p^3: three preperiod digits
-    exp = expand(Fraction(2, 7 * 125), 5)
-    assert exp.delay == 3
-    assert exp.period_length == 6
-
-
-def test_expand_matches_digit_positions():
-    rng = random.Random(2102)
-    for _ in range(60):
-        p = rng.choice((3, 5, 7, 13))
-        x = Fraction(rng.randint(1, 5000), rng.randint(1, 300))
-        exp = expand(x, p)
-        for j, dig in enumerate(exp.integer_digits):
-            assert dig == digit(x, p, j)
-        for j, dig in enumerate(exp.preperiod_digits, start=1):
-            assert dig == digit(x, p, -j)
-        for j, dig in enumerate(exp.period_digits, start=exp.delay + 1):
-            assert dig == digit(x, p, -j)
-        # one full extra period
-        for j in range(exp.delay + 1, exp.delay + exp.period_length + 1):
-            assert digit(x, p, -j) == digit(x, p, -j - exp.period_length)
-
-
-def test_expand_roundtrip_and_minimality_randomized():
-    # magnitudes reach 10^6 on both sides; denominators are built from a
-    # modest unit times a power of p so the digit period stays small enough
-    # to reconstruct quickly
+def test_digit_delay_period_law_randomized():
+    # the fractional digits of x repeat from position max(0, -v_p(x)) on,
+    # with period ord_p(prime-to-p denominator); magnitudes reach 10^6
     rng = random.Random(2103)
     for _ in range(200):
         p = rng.choice((3, 5, 7, 13))
@@ -120,16 +91,13 @@ def test_expand_roundtrip_and_minimality_randomized():
         if den > 10**6:
             den = rng.randint(1, 10**6)
         x = Fraction(num, den)
-        exp = expand(x, p)
-        assert expansion_value(exp) == x
-        assert all(0 <= dig < p for dig in
-                   exp.integer_digits + exp.preperiod_digits + exp.period_digits)
-        delay, period = longdiv_delay_period(x, p)
-        assert exp.delay == delay
-        assert exp.period_length == period
         form = p_adic_decompose(x, p)
-        assert exp.period_length == multiplicative_order(p, form.den)
-        assert exp.delay == max(0, -form.v)
+        delay, period = longdiv_delay_period(x, p)
+        assert (delay, period) == (max(0, -form.v),
+                                   multiplicative_order(p, form.den)), (x, p)
+        if period <= 100:  # digit() at position -j costs a p^j product
+            for j in range(delay + 1, delay + period + 1):
+                assert digit(x, p, -j) == digit(x, p, -j - period), (x, p, j)
 
 
 def test_frac_part_pn_examples():
@@ -137,7 +105,7 @@ def test_frac_part_pn_examples():
     assert frac_part_pn(7, 5, 3) == 0
     avg = (frac_part_pn(Fraction(2, 3), 5, 0) + frac_part_pn(Fraction(2, 3), 5, 1)) / 2
     assert avg == Fraction(1, 2)
-    assert avg == expand(Fraction(2, 3), 5).digit_average / (5 - 1)
+    assert avg == digit_average(Fraction(2, 3), 5) / (5 - 1)
 
 
 def test_frac_part_pn_periodicity():
@@ -145,12 +113,11 @@ def test_frac_part_pn_periodicity():
     for _ in range(40):
         p = rng.choice((3, 5, 7, 13))
         x = Fraction(rng.randint(1, 400), rng.randint(1, 60))
-        exp = expand(x, p)
-        delay, length = exp.delay, exp.period_length
+        delay, length = longdiv_delay_period(x, p)
         for n in range(delay, delay + 3 * length):
             assert frac_part_pn(x, p, n) == frac_part_pn(x, p, n + length)
         window = [frac_part_pn(x, p, n) for n in range(delay, delay + length)]
-        assert sum(window, Fraction(0)) / length == exp.digit_average / (p - 1)
+        assert sum(window, Fraction(0)) / length == digit_average(x, p) / (p - 1)
 
 
 def test_floor_pn_mod_examples():
@@ -168,9 +135,8 @@ def test_floor_pn_mod_periodicity_grid():
     for _ in range(40):
         p = rng.choice((3, 5, 7, 13))
         x = Fraction(rng.randint(1, 400), rng.randint(1, 60))
-        exp = expand(x, p)
         form = p_adic_decompose(x, p)
-        delay, length = exp.delay, exp.period_length
+        delay, length = longdiv_delay_period(x, p)
         for n in range(delay, delay + 2 * length):
             assert (floor_pn_mod(x, p, n, form.num)
                     == floor_pn_mod(x, p, n + length, form.num))
