@@ -62,20 +62,23 @@ def test_digit_examples():
     assert digit(Fraction(3, 2), 5, 3) == 0
 
 
-def test_digit_delay_period_examples():
+def test_expand_examples():
     # 2/7 in base 5 is .(120324) repeating
     assert longdiv_delay_period(Fraction(2, 7), 5) == (0, 6)
     assert [digit(Fraction(2, 7), 5, -j) for j in range(1, 7)] == [1, 2, 0, 3, 2, 4]
     assert digit_average(Fraction(2, 7), 5) == 2
     assert longdiv_delay_period(Fraction(2, 3), 5) == (0, 2)
     assert digit_average(Fraction(2, 3), 5) == 2
-    # fractional part scaled by p^3: three preperiod digits
-    assert longdiv_delay_period(Fraction(2, 7 * 125), 5) == (3, 6)
     # m/d has period 1 whenever d | p-1
     for p in (5, 7, 13):
         for d in divisors(p - 1):
             for m in (1, 2, 3, d + 1):
                 assert longdiv_delay_period(Fraction(m, d), p)[1] == 1
+
+
+def test_expand_delay_example():
+    # fractional part scaled by p^3: three preperiod digits
+    assert longdiv_delay_period(Fraction(2, 7 * 125), 5) == (3, 6)
 
 
 def test_digit_delay_period_law_randomized():
