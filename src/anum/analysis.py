@@ -4,11 +4,11 @@ The closed form guarantees the constant term is periodic with period
 dividing lcm(order of p mod gamma_num, 2) once n clears v_p(gamma), but
 the minimal period is often smaller and the true delay can be too.  The
 minimal period is read off the nu table, whose periodicity closed_model
-checked over two bound periods past the delay; brute force supplies the
-residuals a(n) - quad*p^{2n} - lam*n below the delay, where the closed
-form is not trusted, and is checked against the table at the delay and
-one step past it.  Certifying the period from an independent oracle is
-ROADMAP item 1(a).
+checked over two bound periods past the delay; the O(n) split forms
+supply the residuals a(n) - quad*p^{2n} - lam*n below the delay, where
+the closed form is not trusted, and are checked against the table at the
+delay and one step past it.  Certifying the period from an independent
+oracle is ROADMAP item 1(a).
 
 The pairing r -> (r+1)p + 1 multiplies gamma by p, so the linear
 coefficients agree and the delay grows by exactly one; whether the
@@ -25,7 +25,7 @@ from .closed_form import closed_model, lambda_r, minimal_nu_period
 from .delta import TowerParams
 from .errors import InvariantViolationError
 from .exact_arith import multiplicative_order
-from .lattice import a_number_bruteforce
+from .lattice import sum_decomposition
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,16 @@ class PeriodReport:
                 f"bound {self.lcm_bound}")
 
 
-def minimal_period(params: TowerParams,
-                   budget: int | None = None) -> PeriodReport:
+def minimal_period(params: TowerParams) -> PeriodReport:
     """Measure the minimal period and delay of the residual sequence.
 
     The period is the smallest divisor of the bound under which the nu
     table is invariant; that table's periodicity was checked by
     closed_model over two bound periods, and nothing here certifies it
-    independently (ROADMAP item 1(a)).  Brute force gives the residuals for
-    n = 0 .. delay+1 and must match the table at delay and delay+1.  The
-    delay is then walked down while the residual one period later, read
-    from brute force below the formula delay and from the table at and
+    independently (ROADMAP item 1(a)).  The split forms give the residuals
+    for n = 0 .. delay+1 and must match the table at delay and delay+1.
+    The delay is then walked down while the residual one period later, read
+    from the split forms below the formula delay and from the table at and
     past it, still agrees.
     """
     model = closed_model(params)
@@ -79,17 +78,15 @@ def minimal_period(params: TowerParams,
     start = model.delay
     table = model.nu_table
     p = params.p
-    brute = []
-    for n in range(start + 2):
-        total = a_number_bruteforce(params, n, budget).total
-        value = total - model.quad_coeff * p**(2 * n) - model.lam * n
-        if n >= start and value != table[n % bound]:
+    split = [sum_decomposition(params, n).total - model.quad_coeff * p**(2 * n)
+             - model.lam * n for n in range(start + 2)]
+    for n in (start, start + 1):
+        if split[n] != table[n % bound]:
             raise InvariantViolationError(
-                f"brute-force residual at n={n} disagrees with the nu table")
-        brute.append(value)
+                f"split-form residual at n={n} disagrees with the nu table")
 
     def residual(n: int) -> Fraction:
-        return brute[n] if n < start else table[n % bound]
+        return split[n] if n < start else table[n % bound]
 
     period = minimal_nu_period(model)
     delay = start
@@ -188,7 +185,7 @@ class SweepRow:
 SWEEP_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(SweepRow))
 
 
-def sweep(entries, budget: int | None = None) -> list[SweepRow]:
+def sweep(entries) -> list[SweepRow]:
     """One row per (p, d, r), in lexicographic order.
 
     Cell failures are recorded in the row's error column and the sweep
@@ -199,9 +196,9 @@ def sweep(entries, budget: int | None = None) -> list[SweepRow]:
     for p, d, r in keys:
         try:
             params = TowerParams(p, d, r)
-            report = minimal_period(params, budget)
+            report = minimal_period(params)
             pairing = check_pairing(params)
-            partner = minimal_period(TowerParams(p, d, pairing.r1), budget)
+            partner = minimal_period(TowerParams(p, d, pairing.r1))
             rows.append(SweepRow(
                 p=p, d=d, r=r,
                 quad=closed_model(params).quad_coeff,

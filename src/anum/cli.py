@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  Every error path prints a single line prefixed "error:" to
-stderr.  The enumeration budget can be set with --budget or the
-ANUM_BUDGET environment variable (flag wins).  Output is deterministic:
-identical invocations produce byte-identical output.
+stderr.  The enumeration budget guards brute force in compute and verify;
+set it with --budget or the ANUM_BUDGET environment variable (flag wins).
+sweep exits 1 if any cell failed.  Output is deterministic: identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _make_params(p, d, r):
 
 
 def _budget(args):
-    budget, source = getattr(args, "budget", None), "--budget"
+    budget, source = args.budget, "--budget"
     if budget is None:
         raw = os.environ.get("ANUM_BUDGET")
         if raw is None:
@@ -126,13 +127,16 @@ def _render(columns, rows, fmt, *, head=None, transpose=False) -> str:
 
 @contextmanager
 def _output(out: str | None):
-    """Yield a write function for stdout or, atomically, for `out`.  The
-    temp file is made in out's directory on entry, so an unwritable path
-    fails before any work is done; it is renamed over `out` on exit.  Any
-    OSError inside is a write failure: sweep keeps cell errors in rows."""
+    """Yield a write function for stdout or, atomically, for `out`.  A
+    directory is refused and the temp file made in out's directory on
+    entry, so a bad path fails before any work is done; the temp file is
+    renamed over `out` on exit.  Any OSError inside is a write failure:
+    sweep keeps cell errors in rows."""
     if out is None:
         yield sys.stdout.write
         return
+    if os.path.isdir(out):
+        raise UsageError(f"cannot write {out}: Is a directory")
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
@@ -256,19 +260,14 @@ def cmd_sweep(args) -> int:
             for p in primes
             for d in _d_values(args.d_mode, p)
             for r in range(1, args.r_max + 1)]
-    budget = _budget(args)
     with _output(args.out) as write:
-        rows = sweep(grid, budget=budget)
+        rows = sweep(grid)
         write(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
     failed = [row.error for row in rows if row.error]
-    if not failed:
-        return EXIT_OK
-    print(f"error: {len(failed)} of {len(rows)} sweep cells failed; first: "
-          f"{failed[0]}", file=sys.stderr)
-    budget_error = f"{BudgetExceededError.__name__}:"
-    if any(error.startswith(budget_error) for error in failed):
-        return EXIT_BUDGET
-    return EXIT_VERIFY
+    if failed:
+        print(f"error: {len(failed)} of {len(rows)} sweep cells failed; "
+              f"first: {failed[0]}", file=sys.stderr)
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_delta_table(args) -> int:
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--r-max", type=int, required=True)
     swp.add_argument("--format", choices=FORMATS, default="csv")
     swp.add_argument("--out", default=None)
-    swp.add_argument("--budget", type=int, default=None)
     swp.set_defaults(func=cmd_sweep)
 
     table = sub.add_parser("delta-table", help="tabulate the indicators")

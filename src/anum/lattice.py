@@ -24,8 +24,12 @@ DEFAULT_COLUMN_BUDGET = 10**7
 def _require_budget(columns: int, budget: int | None) -> None:
     limit = DEFAULT_COLUMN_BUDGET if budget is None else budget
     if columns > limit:
+        # a huge count is named by a power of ten below it, to keep the
+        # message one short line: 0.30102 < log10(2), so 10^exponent <= columns
+        exponent = (columns.bit_length() - 1) * 30102 // 100000
+        need = columns if exponent < 30 else f"more than 10^{exponent}"
         raise BudgetExceededError(
-            f"enumeration needs {columns} columns, budget is {limit}")
+            f"enumeration needs {need} columns, budget is {limit}")
 
 
 def t_n(params: TowerParams, n: int) -> int:

@@ -163,6 +163,15 @@ def test_sweep_records_cell_failures_in_row():
     assert rows[1].minimal_period is not None
 
 
+def test_sweep_large_p_cell_needs_no_enumeration():
+    # the residuals up to delay + 1 come from the split forms; brute force
+    # would need 1.0e8 columns at n = 4 for the partner r = 20605 (delay 3),
+    # past the default budget
+    [row] = sweep([(101, 100, 203)])
+    assert row.error == ""
+    assert row.formula_delay == 2
+
+
 def test_sweep_small_d_has_no_linear_term():
     rows = sweep([(3, d, r) for d in (1, 2) for r in range(1, 9)])
     assert len(rows) == 16

@@ -279,10 +279,13 @@ def test_sweep_unwritable_out_fails_before_the_first_cell(capsys, tmp_path,
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran before --out was checked")
     monkeypatch.setattr(anum.cli, "sweep", no_sweep)
-    code, out, err = run(capsys, "sweep", "--p-list", "5,7,13", "--r-max", "8",
-                         "--out", str(tmp_path / "missing" / "x.csv"))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: cannot write ")
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, "sweep", "--p-list", "5,7,13", "--r-max",
+                             "8", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write ")
+        assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_leaves_no_temp_file_when_a_cell_raises(tmp_path, monkeypatch):
@@ -307,22 +310,6 @@ def test_sweep_csv_to_file(capsys, tmp_path):
     assert [row[2] for row in rows[1:]] == ["1", "2", "3", "4"]
     l_col = rows[0].index("L")
     assert [row[l_col] for row in rows[1:]] == ["1", "3", "3", "5"]
-
-
-def test_sweep_budget_failures_exit_3_after_writing_rows(capsys, tmp_path):
-    out_file = tmp_path / "rows.csv"
-    code, out, err = run(capsys, "sweep", "--p-list", "5", "--d-mode",
-                         "list:4", "--r-max", "3", "--budget", "1",
-                         "--out", str(out_file))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: 3 of 3 sweep cells failed")
-    assert err.count("\n") == 1
-    rows = list(csv.reader(io.StringIO(out_file.read_text(encoding="utf-8"))))
-    assert [row[2] for row in rows[1:]] == ["1", "2", "3"]
-    error_col = rows[0].index("error")
-    assert all(row[error_col].startswith("BudgetExceededError:")
-               for row in rows[1:])
 
 
 def test_sweep_cell_failure_exits_1_after_writing_rows(capsys, monkeypatch):
@@ -407,9 +394,11 @@ def test_unknown_flags_exit_2(capsys):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
-    # the period window knob is gone
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "--p-list", "5", "--r-max", "1", "--window-periods", "3"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # the period window knob is gone, and sweep enumerates nothing to budget
+    for flag in ("--window-periods", "--budget"):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--p-list", "5", "--r-max", "1", flag, "3"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1

@@ -29,10 +29,10 @@ INVOCATIONS = (
       for fmt in FORMATS),
     *(("sweep", "--p-list", "5,7", "--r-max", "6", "--format", fmt)
       for fmt in FORMATS),
-    ("sweep", "--p-list", "5", "--d-mode", "list:4", "--r-max", "3",
-     "--budget", "1"),
     ("sweep", "--p-list", "5", "--r-max", "0"),
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "8"),
+    ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "7000", "--method",
+     "brute"),
     ("verify", "-p", "7", "-d", "6", "-r", "4"),
     ("verify", "-p", "3", "-d", "2", "-r", "1"),
 )
@@ -74,12 +74,12 @@ GOLDEN = {
         'da6b6b35119cd45e39b8cdbcc52b4201fa140363f453ad6d437f9407052bac09',
     'sweep --p-list 5,7 --r-max 6 --format json':
         '89252403368d367302f6735ec01a2ee1dd53849acebe19d12a2537e51e2365c3',
-    'sweep --p-list 5 --d-mode list:4 --r-max 3 --budget 1':
-        'f64a7751a03f78ce09cb04a3c14d95728b7790bba4a2805dbd9eda232ba496a3',
     'sweep --p-list 5 --r-max 0':
         'd0c5097743004484a6a117eccf8246e63580ee1daf4ad4d420174a7743ce4ac7',
     'compute -p 5 -d 4 -r 2 -n 8':
         'b7b5c451ac84a549f5440fb7ff33dfdbabc7645d29b3e73635c2137bcd9bb7e2',
+    'compute -p 5 -d 4 -r 2 -n 7000 --method brute':
+        '96f8ce461876bdc3d48828bff5ad527e8cad4f18790b4b5006a92f5ab3310cc7',
     'verify -p 7 -d 6 -r 4':
         '6fa51eb650f0e9ece7081735a045e41ea202f00a14fd7e17ea255d82373f0164',
     'verify -p 3 -d 2 -r 1':

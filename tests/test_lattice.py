@@ -142,19 +142,21 @@ def test_sum_decomposition_examples():
 
 
 def test_sum_decomposition_matches_bruteforce_on_grid():
-    for params in small_grid():
-        for n in (1, 2, 3):
-            decomp = sum_decomposition(params, n)
-            brute = a_number_bruteforce(params, n)
-            assert decomp.total == brute.total, (params, n)
-            assert decomp.t_n == brute.t_n
-            assert decomp.triangle_term == brute.triangle_term
-            assert decomp.delta_region_count == brute.delta_region_count
-            floor_bracket, delta_bracket = decomp.floor_sum_form
-            assert floor_bracket - delta_bracket == brute.total, (params, n)
-            assert delta_bracket == sum(delta(params, i) for i in range(
-                brute.t_n + 1, last_column(params, n) + 1)), (params, n)
-
+    # every n <= delay + 1 that minimal_period reads from the split forms:
+    # delay <= 2 on the grid, and delay 3 at (5, 4, 61)
+    cases = [(params, n) for params in full_grid() for n in range(4)]
+    cases += [(TowerParams(5, 4, 61), n) for n in range(5)]
+    for params, n in cases:
+        decomp = sum_decomposition(params, n)
+        brute = a_number_bruteforce(params, n)
+        assert decomp.total == brute.total, (params, n)
+        assert decomp.t_n == brute.t_n
+        assert decomp.triangle_term == brute.triangle_term
+        assert decomp.delta_region_count == brute.delta_region_count
+        floor_bracket, delta_bracket = decomp.floor_sum_form
+        assert floor_bracket - delta_bracket == brute.total, (params, n)
+        assert delta_bracket == sum(delta(params, i) for i in range(
+            brute.t_n + 1, last_column(params, n) + 1)), (params, n)
 
 
 def test_floor_sum_against_naive_loop():
