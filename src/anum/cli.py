@@ -20,6 +20,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .analysis import SWEEP_COLUMNS, sweep
 from .checks import checks
@@ -37,9 +38,17 @@ EXIT_BUDGET = 3
 FORMATS = ("markdown", "csv", "json")
 
 
+def _print_error(message: str) -> None:
+    """The one `error:` line on stderr.  A message past 200 characters,
+    which only an echoed input makes, is cut there with its length named."""
+    if len(message) > 200:
+        message = f"{message[:200]}... ({len(message)} characters)"
+    print(f"error: {message}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(message)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -54,6 +63,32 @@ def _make_params(p, d, r):
         raise UsageError(str(exc)) from exc
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the int<->str digit limit that Python 3.11+ sets, for the body
+    only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _budget_int(text: str) -> int:
+    """A budget as an int, of any length; a bad one is reported as
+    argparse reports a bad type=int value."""
+    try:
+        with _unlimited_int_digits():
+            return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def _budget(args):
     budget, source = args.budget, "--budget"
     if budget is None:
@@ -62,11 +97,11 @@ def _budget(args):
             return None
         source = "ANUM_BUDGET"
         try:
-            budget = int(raw)
-        except ValueError:
+            budget = _budget_int(raw)
+        except argparse.ArgumentTypeError:
             raise UsageError(f"ANUM_BUDGET must be an integer, got {raw!r}")
     if budget < 0:
-        raise UsageError(f"{source} must be >= 0, got {budget}")
+        raise UsageError(f"{source} must be >= 0, got {_int_text(budget)}")
     return budget
 
 
@@ -81,16 +116,9 @@ def _cell(value) -> str:
 
 
 def _int_text(value: int) -> str:
-    """str(value) in full, past the int-to-str digit limit that Python
-    3.11+ sets; the limit is lifted for this conversion only."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
+    """str(value) in full, past the int-to-str digit limit."""
+    with _unlimited_int_digits():
         return str(value)
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _json_cell(value):
@@ -265,8 +293,8 @@ def cmd_sweep(args) -> int:
         write(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
     failed = [row.error for row in rows if row.error]
     if failed:
-        print(f"error: {len(failed)} of {len(rows)} sweep cells failed; "
-              f"first: {failed[0]}", file=sys.stderr)
+        _print_error(f"{len(failed)} of {len(rows)} sweep cells failed; "
+                     f"first: {failed[0]}")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -282,7 +310,10 @@ def cmd_delta_table(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged,
+    and building it costs about 1.3 ms, more than a small `compute`."""
     parser = _Parser(prog="anum",
                      description="Exact region counts for covering towers: "
                                  "brute force, split forms, and closed "
@@ -296,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("-n", type=int, required=True)
     compute.add_argument("--method", choices=("brute", "closed", "both"),
                          default="both")
-    compute.add_argument("--budget", type=int, default=None)
+    compute.add_argument("--budget", type=_budget_int, default=None)
     compute.set_defaults(func=cmd_compute)
 
     formula = sub.add_parser("formula", help="render the closed form")
@@ -312,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-d", type=int, required=True)
     verify.add_argument("-r", type=int, required=True)
     verify.add_argument("--n-max", type=int, default=3)
-    verify.add_argument("--budget", type=int, default=None)
+    verify.add_argument("--budget", type=_budget_int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     swp = sub.add_parser("sweep", help="period/delay dataset over a grid")
@@ -339,13 +370,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return EXIT_BUDGET
     except InvariantViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return EXIT_VERIFY
     except (UsageError, PreDelayError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return EXIT_USAGE
 
 

@@ -18,9 +18,19 @@ stripped from i:
                ones digit, otherwise 0
 
 where tau_den = d / gcd(d, 2) is the denominator of tau in lowest terms.
-`delta` implements the collapsed test; `delta_lexicographic` keeps the raw
-sequence comparison as a slow reference, and their agreement is itself one
-of the package's property tests.
+With num = (p+1)*i, the first fractional digit is (num mod d)*p // d and
+the ones digit is floor(num/d) mod p; when tau_den | i, num mod d = 0 and
+the test gives 0 with no separate check.  `mu_sum` runs the collapsed test
+over a column range with p and d hoisted, and `delta`, `mu` and brute force
+all read it; `delta_lexicographic` keeps the raw sequence comparison as a
+slow reference, and their agreement is itself one of the package's
+property tests.
+
+Cost, from traced `query` benchmark runs (seed 7, 2 vCPUs, Python 3.11):
+a brute-force column costs 262 ns in `mu_sum` (`lattice.ns_per_column`),
+against 631 ns when each column called `mu`, which called `delta`.  A
+scalar `mu` call now runs that loop for one column and costs about 15%
+more than before: 676 against 538 ns (`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period
@@ -68,12 +78,12 @@ class TowerParams:
         vertex of the bounding triangle."""
         return Fraction((self.p - 1) * self.r + self.p + 1, self.d)
 
-    @property
+    @cached_property
     def tau_den(self) -> int:
         # gcd(p+1, d) = gcd(d, 2) because d | p-1
         return self.d // math.gcd(self.d, 2)
 
-    @property
+    @cached_property
     def tau_num(self) -> int:
         return (self.p + 1) // math.gcd(self.d, 2)
 
@@ -110,19 +120,33 @@ class TowerParams:
         return tuple(sums)
 
 
+def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
+    """sum_{lo < i <= hi} mu(i), column by column: the collapsed delta test
+    on i with its factors of p stripped, plus floor(tau*i).  Empty when
+    hi <= lo."""
+    if lo < 0:
+        raise ValueError(f"lo must be non-negative, got {lo}")
+    p, d = params.p, params.d
+    q = p + 1
+    total = 0
+    for i in range(lo + 1, hi + 1):
+        num = q * i
+        floor_v = ones = num // d
+        if not i % p:
+            j = i // p
+            while not j % p:
+                j //= p
+            num = q * j
+            ones = num // d
+        total += floor_v + (num % d * p // d > ones % p)
+    return total
+
+
 def delta(params: TowerParams, i: int) -> int:
     """Indicator that mu rounds up at i (the collapsed two-digit test)."""
     if i < 1:
         raise ValueError(f"i must be a positive integer, got {i}")
-    p, d = params.p, params.d
-    while i % p == 0:
-        i //= p
-    if i % params.tau_den == 0:
-        return 0
-    num = (p + 1) * i  # tau * i = num / d
-    ones = num // d % p
-    first_frac = num * p // d % p
-    return 1 if first_frac > ones else 0
+    return mu_sum(params, i - 1, i) - (params.p + 1) * i // params.d
 
 
 def delta_lexicographic(params: TowerParams, i: int) -> int:
@@ -172,7 +196,9 @@ def mu(params: TowerParams, i: int) -> int:
 
     Equivalently ceil(tau*i) - 1 + delta_tilde(i).
     """
-    return (params.p + 1) * i // params.d + delta(params, i)
+    if i < 1:
+        raise ValueError(f"i must be a positive integer, got {i}")
+    return mu_sum(params, i - 1, i)
 
 
 @lru_cache(maxsize=64)

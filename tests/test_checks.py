@@ -12,15 +12,25 @@ from anum.checks import checks
 PARAMS = TowerParams(5, 4, 1)  # r = 1, so the first-power check is present
 
 # `anum.delta` is the re-exported function, so reach the module by name.
-# A fault planted in both modules acts like a fault in delta's own code:
-# `mu` and the registry then read the same faulty delta.
+# delta's own code is the column kernel `mu_sum`, which `mu`, `delta` and
+# `delta_tilde` all read; a fault planted there reaches every one of them.
 CHECKS = (anum.checks,)
-EVERYWHERE = (anum.checks, importlib.import_module("anum.delta"))
+KERNEL = (importlib.import_module("anum.delta"),)
 
 
 def flip_at_7(indicator):
     def planted(params, i):
         return 1 - indicator(params, i) if i == 7 else indicator(params, i)
+    return planted
+
+
+def flip_column_7(kernel):
+    def planted(params, lo, hi):
+        total = kernel(params, lo, hi)
+        if lo < 7 <= hi:
+            up = kernel(params, 6, 7) - (params.p + 1) * 7 // params.d
+            total += 1 - 2 * up
+        return total
     return planted
 
 
@@ -40,7 +50,8 @@ def total_plus_one(brute):
 FAULTS = {
     "delta digit test matches the lexicographic definition":
         ("delta", flip_at_7, CHECKS),
-    "mu equals floor+delta and ceil-1+delta_tilde": ("delta", flip_at_7, EVERYWHERE),
+    "mu equals floor+delta and ceil-1+delta_tilde":
+        ("mu_sum", flip_column_7, KERNEL),
     "delta is invariant under multiplying i by p": ("delta", flip_at_7, CHECKS),
     "delta0 shifts by tau_den*p": ("delta0", flip_at_7, CHECKS),
     "delta0 reflects within one period": ("delta0", flip_at_7, CHECKS),

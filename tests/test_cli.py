@@ -1,8 +1,11 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -261,6 +264,94 @@ def test_negative_budget_from_the_environment_is_a_usage_error(capsys,
                          "-n", "0")
     assert (code, out) == (2, "")
     assert err == "error: ANUM_BUDGET must be >= 0, got -2\n"
+
+
+NINES = "9" * 5000  # past the 4300-digit int <-> str limit
+
+
+def test_budget_accepts_integers_past_the_int_str_limit(capsys, monkeypatch):
+    code, out, _ = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                       "-n", "3", "--budget", NINES)
+    assert code == 0 and "AGREE" in out
+    monkeypatch.setenv("ANUM_BUDGET", NINES)
+    code, out, _ = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                       "-n", "3")
+    assert code == 0 and "AGREE" in out
+    # a count past even that budget names both as powers of ten
+    code, out, err = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                         "-n", "9000", "--method", "brute")
+    assert (code, out) == (3, "")
+    assert err == ("error: enumeration needs more than 10^6289 columns, "
+                   "budget is more than 10^4999\n")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "3"), "x" + NINES),
+    (("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "3", "--budget",
+      "x" + NINES), None),
+    (("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "3", "--budget",
+      "-" + NINES), None),
+    (("verify", "-p", "5", "-d", "4", "-r", "2", "--budget", "x" + NINES),
+     None),
+    (("sweep", "--p-list", "5," + NINES, "--r-max", "1"), None),
+    # -n keeps the limit: no count that long could fit a budget
+    (("compute", "-p", "5", "-d", "4", "-r", "2", "-n", NINES), None),
+])
+def test_rejected_long_values_are_echoed_cut_short(capsys, monkeypatch, argv,
+                                                   env):
+    if env is not None:
+        monkeypatch.setenv("ANUM_BUDGET", env)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err) < 300
+    assert captured.err.rstrip().endswith(" characters)")
+
+
+def test_budget_refuses_a_huge_n_at_once(capsys):
+    # n = 3e7 formed p^n for seconds before the budget check
+    code, out, err = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                         "-n", "30000000", "--method", "brute")
+    assert (code, out) == (3, "")
+    assert err == ("error: enumeration needs more than 10^20968403 columns, "
+                   "budget is 10000000\n")
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    # build_parser is cached, and set_defaults(func=...) bound the cmd_*
+    # functions when it first ran; a usage error, then compute, then
+    # formula in one process print what a fresh process prints
+    sequence = (
+        ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "3",
+         "--method", "nope"),
+        ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "8"),
+        ("formula", "-p", "13", "-d", "6", "-r", "5", "--format", "json"),
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anum.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    in_process = [_run_in_process(argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    for argv, got in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "anum.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               check=False)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert anum.cli.build_parser() is anum.cli.build_parser()
 
 
 def test_sweep_unwritable_out_is_a_usage_error(capsys, tmp_path):

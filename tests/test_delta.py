@@ -9,11 +9,13 @@ from anum import (
     delta,
     delta0,
     delta0_average,
+    delta_lexicographic,
     delta_tilde,
     mu,
 )
 from anum.checks import checks
-from helpers import delta0_as_sequence, pd_grid
+from anum.delta import mu_sum
+from helpers import delta0_as_sequence, full_grid, pd_grid
 
 # indicators over i = 1..19 for p=5, d=4
 DELTA_P5_D4 = (1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0)
@@ -83,6 +85,32 @@ def test_mu_examples():
     assert mu(P5D4, 1) == 2
     assert mu(P5D4, 2) == 3
     assert mu(P5D4, 3) == 4
+
+
+def test_mu_sum_kernel_against_lexicographic_reference():
+    # windows across multiples of tau_den, p, p^2 and p^3, single columns
+    # and whole windows, from lo = 0, and empty ranges
+    for params in full_grid():
+        p, d, td = params.p, params.d, params.tau_den
+        reference = {}
+
+        def ref(lo, hi):
+            for i in range(lo + 1, hi + 1):
+                if i not in reference:
+                    reference[i] = ((p + 1) * i // d
+                                    + delta_lexicographic(params, i))
+            return sum(reference[i] for i in range(lo + 1, hi + 1))
+
+        for k in (td, p, td * p, p**2, p**3, td * p**3):
+            lo, hi = max(0, k - 2 * td - 1), k + 2 * td + 1
+            assert mu_sum(params, lo, hi) == ref(lo, hi), (params, k)
+            for i in range(lo + 1, hi + 1):
+                assert mu_sum(params, i - 1, i) == ref(i - 1, i), (params, i)
+        assert mu_sum(params, 0, 3 * p * td) == ref(0, 3 * p * td), params
+        assert mu_sum(params, 0, 0) == mu_sum(params, 9, 9) == 0
+        assert mu_sum(params, 9, 4) == 0
+        with pytest.raises(ValueError):
+            mu_sum(params, -1, 2)
 
 
 def _assert_law_on_grid(name):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import anum.lattice
 from anum import (
     BudgetExceededError,
     TowerParams,
@@ -22,7 +23,7 @@ from anum import (
     t_n,
     triangle_lattice_count,
 )
-from anum.lattice import _delta_prefix, _floor_sum
+from anum.lattice import _count_text, _delta_prefix, _floor_sum
 from helpers import (
     count_delta_region_pointwise,
     count_tilde_delta,
@@ -191,6 +192,39 @@ def test_budget_guard():
     assert "budget is 10" in str(info.value)
     with pytest.raises(BudgetExceededError):
         triangle_lattice_count(P5D4R2, 6, budget=10)
+
+
+def test_budget_refuses_a_huge_n_before_forming_p_to_the_n(monkeypatch):
+    # t_n and last_column form p^n; n = 10^9 would take hours if either ran
+    def forms_p_to_the_n(params, n):
+        raise AssertionError("p^n formed before the budget refused n")
+
+    monkeypatch.setattr(anum.lattice, "t_n", forms_p_to_the_n)
+    monkeypatch.setattr(anum.lattice, "last_column", forms_p_to_the_n)
+    for count in (count_delta_region, a_number_bruteforce,
+                  triangle_lattice_count):
+        with pytest.raises(BudgetExceededError,
+                           match=r"^enumeration needs more than 10\^6989\d{5} "
+                                 r"columns, budget is 10000000$"):
+            count(P5D4R2, 10**9)
+
+
+def test_early_refusal_names_the_exact_count_power_of_ten():
+    # once the count passes 2^100 (n >= 44 at (5, 4, 2)) the bound alone
+    # refuses it; its message matches the one the exact count gives
+    def message(columns):
+        return (f"enumeration needs {_count_text(columns)} columns, "
+                f"budget is 10000000")
+
+    for params in (P5D4R2, TowerParams(13, 12, 5), TowerParams(3, 2, 7)):
+        for n in range(40, 400, 7):
+            last = last_column(params, n)
+            with pytest.raises(BudgetExceededError) as info:
+                count_delta_region(params, n)
+            assert str(info.value) == message(last - t_n(params, n)), (params, n)
+            with pytest.raises(BudgetExceededError) as info:
+                triangle_lattice_count(params, n)
+            assert str(info.value) == message(last + 1), (params, n)
 
 
 def test_growth_plausibility():
