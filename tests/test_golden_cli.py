@@ -23,6 +23,7 @@ INVOCATIONS = (
     *(("formula", "-p", p, "-d", d, "-r", r, "--format", fmt)
       for p, d, r in (("5", "4", "2"), ("13", "6", "5"), ("7", "6", "4"))
       for fmt in FORMATS),
+    ("formula", "-p", "31", "-d", "30", "-r", "100", "--format", "json"),
     *(("delta-table", *pd, "--format", fmt)
       for pd in (("-p", "5", "-d", "4"),
                  ("-p", "13", "-d", "12", "--i-max", "40"))
@@ -30,6 +31,7 @@ INVOCATIONS = (
     *(("sweep", "--p-list", "5,7", "--r-max", "6", "--format", fmt)
       for fmt in FORMATS),
     ("sweep", "--p-list", "5", "--r-max", "0"),
+    ("sweep", "--p-list", "13", "--d-mode", "list:4,12", "--r-max", "6"),
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "8"),
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "7000", "--method",
      "brute"),
@@ -56,6 +58,8 @@ GOLDEN = {
         'bb4f0410b6c9ab24fb0bdaf1d1bf694459e1f1e2577c79bddfb30f1855d240db',
     'formula -p 7 -d 6 -r 4 --format json':
         '14e4f72b63895fd36f9ff986ef2f267a21843b2ac3e54bb816be7e074339182a',
+    'formula -p 31 -d 30 -r 100 --format json':
+        'cad3945d4cf318f49285e91f8a9c69b298f02fbb08daf4c9ff6c8bf3dde6bbaa',
     'delta-table -p 5 -d 4 --format markdown':
         '226d3c3e8ace66fe798b9d6324bcc34388cf37ab7a62d7c8aa85eda13e3849ea',
     'delta-table -p 5 -d 4 --format csv':
@@ -76,6 +80,8 @@ GOLDEN = {
         '89252403368d367302f6735ec01a2ee1dd53849acebe19d12a2537e51e2365c3',
     'sweep --p-list 5 --r-max 0':
         'd0c5097743004484a6a117eccf8246e63580ee1daf4ad4d420174a7743ce4ac7',
+    'sweep --p-list 13 --d-mode list:4,12 --r-max 6':
+        'ee2e3a8b5593a126f9f3f06cb6b31e7f8321557438df7badbf6cc0b110883330',
     'compute -p 5 -d 4 -r 2 -n 8':
         'b7b5c451ac84a549f5440fb7ff33dfdbabc7645d29b3e73635c2137bcd9bb7e2',
     'compute -p 5 -d 4 -r 2 -n 7000 --method brute':
