@@ -8,7 +8,7 @@ checked over two bound periods past the delay; the O(n) split forms
 supply the residuals a(n) - quad*p^{2n} - lam*n below the delay, where
 the closed form is not trusted, and are checked against the table at the
 delay and one step past it.  Certifying the period from an independent
-oracle is ROADMAP item 1(a).
+oracle is ROADMAP item 2.
 
 The pairing r -> (r+1)p + 1 multiplies gamma by p, so the linear
 coefficients agree and the delay grows by exactly one; whether the
@@ -67,7 +67,7 @@ def minimal_period(params: TowerParams) -> PeriodReport:
     The period is the smallest divisor of the bound under which the nu
     table is invariant; that table's periodicity was checked by
     closed_model over two bound periods, and nothing here certifies it
-    independently (ROADMAP item 1(a)).  The split forms give the residuals
+    independently (ROADMAP item 2).  The split forms give the residuals
     for n = 0 .. delay+1 and must match the table at delay and delay+1.
     The delay is then walked down while the residual one period later, read
     from the split forms below the formula delay and from the table at and

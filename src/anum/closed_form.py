@@ -42,6 +42,9 @@ has quad = (1/tau - 1/gamma)/2, lam carried entirely by the gamma side,
 and nu periodic for n >= v_p(gamma) with period dividing
 lcm(order of p mod gamma_num, 2).  Below that delay the closed form is
 genuinely wrong and `evaluate` refuses; use the brute-force counter there.
+The numerator of tau = (p+1)/d divides p+1, so p = -1 modulo it: 1/tau has
+delay 0 and digit period dividing 2, and the tau residue
+A(1/tau, n) - B(tau, n) takes two values, by n mod 2, from n = 0 on.
 """
 
 from __future__ import annotations
@@ -213,13 +216,25 @@ def lambda_r(params: TowerParams) -> Fraction:
     return delta_sum_linear_coeff(params.gamma, params)
 
 
+@lru_cache(maxsize=4)  # a build reads one entry 2L times
+def _tau_residues(params: TowerParams) -> tuple[Fraction, Fraction]:
+    """(R(0), R(1)) for the tau residue R(n) = A(1/tau, n) - B(tau, n),
+    after checking R(2) = R(0) and R(3) = R(1)."""
+    tau = params.tau
+    r = [A_fn(1 / tau, params.p, n) - delta_sum_residue(tau, params, n)
+         for n in range(4)]
+    if r[2:] != r[:2]:
+        raise InvariantViolationError(f"tau residue not 2-periodic: {r}")
+    return r[0], r[1]
+
+
 def nu_value(params: TowerParams, n: int) -> Fraction:
-    """The periodic constant term at index n, assembled from the four
-    residues: A(1/tau) - A(1/gamma) - B(1/tau) + B(1/gamma)."""
-    p = params.p
-    tau, gamma = params.tau, params.gamma
-    return (A_fn(1 / tau, p, n) - A_fn(1 / gamma, p, n)
-            - delta_sum_residue(tau, params, n)
+    """The periodic constant term at index n >= 0:
+    A(1/tau) - A(1/gamma) - B(1/tau) + B(1/gamma).  The tau half depends
+    only on n mod 2 (1/tau has delay 0 and digit period dividing 2, since
+    p = -1 modulo the numerator of tau), so it is read from a cached pair."""
+    gamma = params.gamma
+    return (_tau_residues(params)[n % 2] - A_fn(1 / gamma, params.p, n)
             + delta_sum_residue(gamma, params, n))
 
 

@@ -362,3 +362,57 @@ def test_closed_model_self_checks_raise(monkeypatch):
             build(P5D4R2)
     monkeypatch.undo()
     assert build(P5D4R2) == model
+
+
+@pytest.fixture
+def fresh_tau_residues():
+    """Empty the tau-pair cache around a test that builds fresh models."""
+    anum.closed_form._tau_residues.cache_clear()
+    yield anum.closed_form._tau_residues
+    anum.closed_form._tau_residues.cache_clear()
+
+
+def test_tau_residue_pair_matches_direct_evaluation(fresh_tau_residues):
+    for params in full_grid():
+        tau, p = params.tau, params.p
+        pair = fresh_tau_residues(params)
+        for n in range(51):
+            direct = A_fn(1 / tau, p, n) - delta_sum_residue(tau, params, n)
+            assert pair[n % 2] == direct, (params, n)
+
+
+def test_planted_tau_residue_fault_raises(monkeypatch, fresh_tau_residues):
+    build = closed_model.__wrapped__
+    tau_inv = 1 / P5D4R2.tau
+    faults = (
+        ("non-integral", lambda n: n % 2 == 1),  # R shifted at every odd n
+        ("not 2-periodic", lambda n: n == 3),  # R shifted at n = 3 alone
+    )
+    for message, planted in faults:
+        monkeypatch.setattr(
+            anum.closed_form, "A_fn",
+            lambda x_inv, p, n: A_fn(x_inv, p, n)
+            + Fraction(1, 2) * (x_inv == tau_inv and planted(n)))
+        fresh_tau_residues.cache_clear()
+        with pytest.raises(InvariantViolationError, match=message):
+            build(P5D4R2)
+
+
+def test_build_reads_tau_residues_at_most_four_times(monkeypatch, fresh_tau_residues):
+    params = TowerParams(31, 30, 100)
+    calls = {"A tau": 0, "A gamma": 0, "B tau": 0, "B gamma": 0}
+
+    def counted_A(x_inv, p, n):
+        calls["A tau" if x_inv == 1 / params.tau else "A gamma"] += 1
+        return A_fn(x_inv, p, n)
+
+    def counted_B(x, prm, n):
+        calls["B tau" if x == params.tau else "B gamma"] += 1
+        return delta_sum_residue(x, prm, n)
+
+    monkeypatch.setattr(anum.closed_form, "A_fn", counted_A)
+    monkeypatch.setattr(anum.closed_form, "delta_sum_residue", counted_B)
+    model = closed_model.__wrapped__(params)
+    assert model.claimed_period == 378
+    assert calls["A tau"] <= 4 and calls["B tau"] <= 4, calls
+    assert calls["A gamma"] == calls["B gamma"] == 2 * 378, calls
