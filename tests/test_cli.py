@@ -12,6 +12,7 @@ import pytest
 
 import anum.analysis
 import anum.cli
+import anum.exact_arith
 from anum import (
     InvariantViolationError,
     TowerParams,
@@ -448,6 +449,21 @@ def test_sweep_rejects_bad_grid(capsys):
     code, _, err = run(capsys, "sweep", "--p-list", "5", "--d-mode", "list:3",
                        "--r-max", "2")
     assert code == 2 and "divide p-1" in err
+
+
+def test_p_past_the_primality_range_is_a_usage_error(capsys):
+    big = str(anum.exact_arith.PRIME_LIMIT)
+    for argv in (("compute", "-p", big, "-d", "1", "-r", "1", "-n", "1"),
+                 ("sweep", "--p-list", big, "--d-mode", "list:1", "--r-max", "1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "only decided below" in err, argv
+
+
+def test_large_prime_brute_force_is_prompt(capsys):
+    # one column, and a primality test that does not grow with sqrt(p)
+    code, out, _ = run(capsys, "compute", "-p", "10000000000000061", "-d", "2",
+                       "-r", "1", "-n", "1", "--method", "brute")
+    assert code == 0 and "brute = 5000000000000030" in out
 
 
 @pytest.mark.parametrize("flags, line", [

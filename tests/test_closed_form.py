@@ -17,9 +17,11 @@ from anum import (
     delta0,
     delta0_average,
     delta_sum_closed,
+    delta_sum_linear_coeff,
     delta_sum_residue,
     evaluate,
     floor_sum_closed,
+    frac_part_pn,
     lambda_r,
     minimal_nu_period,
     model_to_dict,
@@ -140,6 +142,8 @@ def test_delta_sum_closed_requires_matching_denominator():
         delta_sum_closed(Fraction(5, 3), P5D4R2, 1)
     with pytest.raises(ValueError):
         delta_sum_closed(Fraction(1, 2), P5D4R2, 1)
+    with pytest.raises(ValueError):  # a factor p in the denominator
+        delta_sum_closed(Fraction(11, 10), P5D4R2, 1)
 
 
 def test_delta_sum_closed_vanishes_for_small_d():
@@ -182,6 +186,21 @@ def test_tau_side_linear_coefficient_vanishes():
     for p, d in pd_grid():
         laws = dict(checks(TowerParams(p, d, 1), 0, None))
         assert laws["tau-side linear coefficient vanishes"](), (p, d)
+
+
+def test_linear_coeff_matches_paper_form():
+    # the paper's two-sequence form, averaged directly over one digit
+    # period of 1/x past its delay; the tau side's vanishes
+    for params in full_grid():
+        p, shrink = params.p, 1 - Fraction(1, params.tau_den)
+        for x in (params.tau, params.gamma):
+            delay, period = longdiv_delay_period(1 / x, p)
+            window = range(delay + 1, delay + 1 + period)
+            f_avg = sum(F_fn(1 / x, params, e) for e in window) / period
+            frac_avg = sum(frac_part_pn(1 / x, p, e) for e in window) / period
+            paper = f_avg - (p - 1) * frac_avg / (2 * p) * shrink
+            assert delta_sum_linear_coeff(x, params) == paper, (params, x)
+        assert delta_sum_linear_coeff(params.tau, params) == 0, params
 
 
 def test_tau_inverse_digit_average():

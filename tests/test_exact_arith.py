@@ -17,6 +17,7 @@ from anum import (
     multiplicative_order,
     p_adic_decompose,
 )
+from anum.exact_arith import PRIME_LIMIT
 from helpers import digit_average, longdiv_delay_period, p_adic_value
 
 
@@ -209,6 +210,33 @@ def test_is_prime_and_divisors():
     assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    # Carmichael numbers with every prime factor above 41: the bases pass
+    # the Fermat test, so only a square root of 1 other than +-1 shows them
+    for n in (43 * 211 * 337, 101 * 151 * 251, 43 * 127 * 1093, 61 * 241 * 421):
+        assert not is_prime(n), n
+    assert is_prime(10**16 + 61) and is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(PRIME_LIMIT)
 
 
 def test_format_rational():
