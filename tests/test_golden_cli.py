@@ -24,6 +24,9 @@ INVOCATIONS = (
       for p, d, r in (("5", "4", "2"), ("13", "6", "5"), ("7", "6", "4"))
       for fmt in FORMATS),
     ("formula", "-p", "31", "-d", "30", "-r", "100", "--format", "json"),
+    # N_r = 1 and an odd gamma digit period (9): table entries below the
+    # delay, and a claimed period of twice the digit period
+    ("formula", "-p", "5", "-d", "4", "-r", "46", "--format", "json"),
     *(("delta-table", *pd, "--format", fmt)
       for pd in (("-p", "5", "-d", "4"),
                  ("-p", "13", "-d", "12", "--i-max", "40"))
@@ -35,6 +38,7 @@ INVOCATIONS = (
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "8"),
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "7000", "--method",
      "brute"),
+    ("compute", "-p", "5", "-d", "4", "-r", "46", "-n", "2"),
     ("verify", "-p", "7", "-d", "6", "-r", "4"),
     ("verify", "-p", "3", "-d", "2", "-r", "1"),
 )
@@ -60,6 +64,8 @@ GOLDEN = {
         '14e4f72b63895fd36f9ff986ef2f267a21843b2ac3e54bb816be7e074339182a',
     'formula -p 31 -d 30 -r 100 --format json':
         'cad3945d4cf318f49285e91f8a9c69b298f02fbb08daf4c9ff6c8bf3dde6bbaa',
+    'formula -p 5 -d 4 -r 46 --format json':
+        'c3041c1aa73dfa4451a3c2eb065eee40650167b5d38277767fae9c46b4d69e98',
     'delta-table -p 5 -d 4 --format markdown':
         '226d3c3e8ace66fe798b9d6324bcc34388cf37ab7a62d7c8aa85eda13e3849ea',
     'delta-table -p 5 -d 4 --format csv':
@@ -86,6 +92,8 @@ GOLDEN = {
         'b7b5c451ac84a549f5440fb7ff33dfdbabc7645d29b3e73635c2137bcd9bb7e2',
     'compute -p 5 -d 4 -r 2 -n 7000 --method brute':
         '96f8ce461876bdc3d48828bff5ad527e8cad4f18790b4b5006a92f5ab3310cc7',
+    'compute -p 5 -d 4 -r 46 -n 2':
+        'fae136fbffb892b1307cd081033ffb55907a7efe20eda0267b3ed5d3a2ea327f',
     'verify -p 7 -d 6 -r 4':
         '6fa51eb650f0e9ece7081735a045e41ea202f00a14fd7e17ea255d82373f0164',
     'verify -p 3 -d 2 -r 1':
