@@ -31,6 +31,7 @@ from .closed_form import (
     nu_value,
 )
 from .delta import (
+    DEFAULT_COLUMN_BUDGET,
     TowerParams,
     delta,
     delta0,
@@ -53,7 +54,6 @@ from .exact_arith import (
     p_adic_decompose,
 )
 from .lattice import (
-    DEFAULT_COLUMN_BUDGET,
     ANumberBreakdown,
     a_number_bruteforce,
     count_delta_region,

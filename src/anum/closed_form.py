@@ -26,8 +26,8 @@ c = <g>, and the residue B(1/x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x)
 term-by-term sums (`test_delta_sum_closed_matches_naive_on_grid`), against
 the O(n) split forms over two periods past the delay
 (`test_closed_sums_certified_by_split_form_oracle`) and through the model
-up to n = 50 (acceptance criterion 11); B's periodicity is re-checked when
-models are assembled.
+up to n = 50 (acceptance criterion 11); each slope's residue table checks
+B's periodicity again.
 
 On the tau side the linear coefficient vanishes identically, so the count
 
@@ -35,12 +35,14 @@ On the tau side the linear coefficient vanishes identically, so the count
     = quad * p^{2n} + lam * n + nu(n)
 
 has quad = (1/tau - 1/gamma)/2, lam carried entirely by the gamma side,
-and nu periodic for n >= v_p(gamma) with period dividing
-lcm(order of p mod gamma_num, 2).  Below that delay the closed form is
-genuinely wrong and `evaluate` refuses; use the brute-force counter there.
-The numerator of tau = (p+1)/d divides p+1, so p = -1 modulo it: 1/tau has
-delay 0 and digit period dividing 2, and the tau residue
-A(1/tau, n) - B(tau, n) takes two values, by n mod 2, from n = 0 on.
+and nu(n) = R_tau(n) - R_gamma(n), where R_x(n) = A(1/x, n) - B(x, n) is
+periodic from n = v_p(x) with the digit period L_x of 1/x.  So nu is
+periodic for n >= v_p(gamma) with period dividing lcm(L_gamma, 2).  Below
+that delay the closed form is genuinely wrong and `evaluate` refuses; use
+the brute-force counter there.  Each slope has one residue table
+(`_residues`): v + 2 L_x evaluations, the second period checked against
+the first, the head plus one cycle kept.  For tau, p = -1 modulo its
+numerator, so v = 0 and L_tau divides 2: at most 4 evaluations.
 """
 
 from __future__ import annotations
@@ -165,12 +167,8 @@ def delta_sum_residue(x: Fraction | int, params: TowerParams, n: int) -> Fractio
 
 def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
     """sum_{i=1}^{floor(p^n/x)} delta(i) as the geometric term plus the
-    prefix sum of g.
-
-    Requires x >= 1 with denominator tau_den (both tau and gamma
-    qualify).  Exact for every n >= 0; O(1) after the per-x build of the
-    exponent sequence.
-    """
+    prefix sum of g, for x >= 1 with denominator tau_den (tau and gamma
+    qualify).  Exact for every n >= 0; O(1) once g is built."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x, p = Fraction(x), params.p
@@ -194,26 +192,31 @@ def lambda_r(params: TowerParams) -> Fraction:
     return delta_sum_linear_coeff(params.gamma, params)
 
 
-@lru_cache(maxsize=4)  # a build reads one entry 2L times
-def _tau_residues(params: TowerParams) -> tuple[Fraction, Fraction]:
-    """(R(0), R(1)) for the tau residue R(n) = A(1/tau, n) - B(tau, n),
-    after checking R(2) = R(0) and R(3) = R(1)."""
-    tau = params.tau
-    r = [A_fn(1 / tau, params.p, n) - delta_sum_residue(tau, params, n)
-         for n in range(4)]
-    if r[2:] != r[:2]:
-        raise InvariantViolationError(f"tau residue not 2-periodic: {r}")
-    return r[0], r[1]
+@lru_cache(maxsize=4)  # a build reads two entries (tau and gamma), then none
+def _residues(x: Fraction, params: TowerParams) -> tuple[int, tuple[Fraction, ...]]:
+    """(v, table): R(n) = A(1/x, n) - B(x, n) for n < v + L, with v = v_p(x)
+    and L the digit period of 1/x, after checking R(n + L) = R(n) over the
+    second period."""
+    form = p_adic_decompose(x, params.p)
+    v, period = form.v, multiplicative_order(params.p, form.num)
+    r = [A_fn(1 / x, params.p, n) - delta_sum_residue(x, params, n)
+         for n in range(v + 2 * period)]
+    if r[v + period:] != r[v:v + period]:
+        raise InvariantViolationError(
+            f"residue of slope {x} not periodic with period {period} from n={v}")
+    return v, tuple(r[:v + period])
+
+
+def _residue(x: Fraction, params: TowerParams, n: int) -> Fraction:
+    v, table = _residues(x, params)
+    return table[n if n < len(table) else v + (n - v) % (len(table) - v)]
 
 
 def nu_value(params: TowerParams, n: int) -> Fraction:
-    """The periodic constant term at index n >= 0:
-    A(1/tau) - A(1/gamma) - B(1/tau) + B(1/gamma).  The tau half depends
-    only on n mod 2 (1/tau has delay 0 and digit period dividing 2, since
-    p = -1 modulo the numerator of tau), so it is read from a cached pair."""
-    gamma = params.gamma
-    return (_tau_residues(params)[n % 2] - A_fn(1 / gamma, params.p, n)
-            + delta_sum_residue(gamma, params, n))
+    """The periodic constant term at n >= 0: R(tau, n) - R(gamma, n)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return _residue(params.tau, params, n) - _residue(params.gamma, params, n)
 
 
 @dataclass(frozen=True)
@@ -254,17 +257,13 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     delay = params.gamma_vp
     period = math.lcm(multiplicative_order(p, params.gamma_num), 2)
     window = [nu_value(params, n) for n in range(delay, delay + 2 * period)]
-    for j in range(period):
-        if window[j] != window[j + period]:
-            raise InvariantViolationError(
-                f"nu residue is not {period}-periodic over the verification "
-                f"window (offsets {j} and {j + period} past the delay differ)")
-    table = [Fraction(0)] * period
-    for offset in range(period):
-        table[(delay + offset) % period] = window[offset]
-    model = ClosedFormModel(params=params, quad_coeff=quad, lam=lam,
-                            delay=delay, claimed_period=period,
-                            nu_table=tuple(table))
+    if window[:period] != window[period:]:
+        raise InvariantViolationError(
+            f"nu residue is not {period}-periodic over the verification window")
+    model = ClosedFormModel(
+        params=params, quad_coeff=quad, lam=lam, delay=delay,
+        claimed_period=period,
+        nu_table=tuple(window[(j - delay) % period] for j in range(period)))
     for n in range(delay, delay + 2 * period):
         evaluate(model, n)  # raises unless integral and non-negative
     return model

@@ -44,8 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import InvariantViolationError
+from .errors import BudgetExceededError, InvariantViolationError
 from .exact_arith import PAdicForm, digit, is_prime, p_adic_decompose
+
+# Columns brute force may enumerate, and entries the delta0 table may hold
+DEFAULT_COLUMN_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,14 @@ class TowerParams:
     @cached_property
     def delta0_prefix(self) -> tuple[int, ...]:
         """Cumulative sums of delta0 over one full period: entry m is
-        sum_{i=1..m} delta0(i) for 0 <= m <= tau_den * p."""
+        sum_{i=1..m} delta0(i) for 0 <= m <= tau_den * p.  Refused past
+        DEFAULT_COLUMN_BUDGET entries, before any of them is built."""
+        block = self.tau_den * self.p
+        if block > DEFAULT_COLUMN_BUDGET:
+            raise BudgetExceededError(f"the delta0 table needs {block} entries, "
+                                      f"budget is {DEFAULT_COLUMN_BUDGET}")
         sums = [0]
-        for i in range(1, self.tau_den * self.p + 1):
+        for i in range(1, block + 1):
             sums.append(sums[-1] + delta0(self, i))
         return tuple(sums)
 

@@ -61,18 +61,13 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+    """All positive divisors of n, ascending, from its factorisation."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+    out = [1]
+    for q, k in _factor(n).items():
+        out = [f * q**j for f in out for j in range(k + 1)]
+    return sorted(out)
 
 
 def _factor(n: int) -> dict[int, int]:

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delta import TowerParams, mu_sum
+from .delta import DEFAULT_COLUMN_BUDGET, TowerParams, mu_sum
 from .errors import BudgetExceededError, InvariantViolationError
-
-DEFAULT_COLUMN_BUDGET = 10**7
 
 
 def _more_than(bits: int) -> str:

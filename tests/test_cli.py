@@ -459,11 +459,42 @@ def test_p_past_the_primality_range_is_a_usage_error(capsys):
         assert code == 2 and "only decided below" in err, argv
 
 
-def test_large_prime_brute_force_is_prompt(capsys):
+HUGE_P = "10000000000000061"  # p - 1 = 2^2 * 5 * 53 * 349 * 27031410499
+
+
+def run_fresh(*argv, timeout):
+    """Run the CLI in a fresh process, so that a hang fails the test at
+    `timeout` seconds instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anum.cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "anum.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=False, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_large_prime_brute_force_is_prompt():
     # one column, and a primality test that does not grow with sqrt(p)
-    code, out, _ = run(capsys, "compute", "-p", "10000000000000061", "-d", "2",
-                       "-r", "1", "-n", "1", "--method", "brute")
-    assert code == 0 and "brute = 5000000000000030" in out
+    assert run_fresh("compute", "-p", HUGE_P, "-d", "2", "-r", "1", "-n", "1",
+                     "--method", "brute", timeout=20) == (
+        0, f"p={HUGE_P} d=2 r=1 n=1\nbrute = 5000000000000030\n", "")
+
+
+def test_huge_p_closed_paths_refuse_the_delta0_table_at_once():
+    # the delta0 table would hold tau_den * p entries; at r = 100042,
+    # gamma_num is a prime near 5 * 10^20 that trial division cannot factor
+    for r in ("1", "100042"):
+        code, out, err = run_fresh("formula", "-p", HUGE_P, "-d", "2", "-r", r,
+                                   timeout=20)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the delta0 table needs ")
+        assert len(err.splitlines()) == 1
+    code, out, err = run_fresh("sweep", "--p-list", HUGE_P, "--r-max", "1",
+                               "--format", "csv", timeout=20)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 1 and len(rows) == 48  # every divisor d of p - 1
+    assert all(row["error"].startswith("BudgetExceededError: the delta0 table")
+               for row in rows)
+    assert err.startswith("error: 48 of 48 sweep cells failed")
 
 
 @pytest.mark.parametrize("flags, line", [

@@ -8,6 +8,7 @@ import pytest
 import anum.closed_form
 from anum import (
     A_fn,
+    BudgetExceededError,
     F_fn,
     InvariantViolationError,
     PreDelayError,
@@ -383,42 +384,62 @@ def test_closed_model_self_checks_raise(monkeypatch):
     assert build(P5D4R2) == model
 
 
+def test_huge_p_build_is_refused_before_any_order_is_taken(monkeypatch):
+    # gamma_num at r = 100042 is the prime 500215000000003001291: taking the
+    # order of p modulo it by trial division would stall, so the delta0
+    # table refusal must come first
+    def unreachable(a, m):
+        raise AssertionError(f"multiplicative_order({a}, {m}) was called")
+
+    monkeypatch.setattr(anum.closed_form, "multiplicative_order", unreachable)
+    with pytest.raises(BudgetExceededError, match="delta0 table"):
+        closed_model.__wrapped__(TowerParams(10**16 + 61, 2, 100042))
+
+
 @pytest.fixture
-def fresh_tau_residues():
-    """Empty the tau-pair cache around a test that builds fresh models."""
-    anum.closed_form._tau_residues.cache_clear()
-    yield anum.closed_form._tau_residues
-    anum.closed_form._tau_residues.cache_clear()
+def fresh_residues():
+    """Empty the residue-table cache around a test that builds fresh models."""
+    anum.closed_form._residues.cache_clear()
+    yield anum.closed_form._residues
+    anum.closed_form._residues.cache_clear()
 
 
-def test_tau_residue_pair_matches_direct_evaluation(fresh_tau_residues):
+def test_residue_tables_match_direct_evaluation(fresh_residues):
+    read = anum.closed_form._residue
     for params in full_grid():
-        tau, p = params.tau, params.p
-        pair = fresh_tau_residues(params)
-        for n in range(51):
-            direct = A_fn(1 / tau, p, n) - delta_sum_residue(tau, params, n)
-            assert pair[n % 2] == direct, (params, n)
+        for x in (params.tau, params.gamma):
+            for n in range(51):
+                direct = A_fn(1 / x, params.p, n) - delta_sum_residue(x, params, n)
+                assert read(x, params, n) == direct, (params, x, n)
+    with pytest.raises(ValueError, match="non-negative"):
+        anum.closed_form.nu_value(P5D4R2, -1)
 
 
-def test_planted_tau_residue_fault_raises(monkeypatch, fresh_tau_residues):
+def plant_half(monkeypatch, x_inv, planted):
+    """A_fn off by 1/2 at 1/x = x_inv wherever planted(n) holds."""
+    monkeypatch.setattr(
+        anum.closed_form, "A_fn",
+        lambda y, p, n: A_fn(y, p, n) + Fraction(1, 2) * (y == x_inv and planted(n)))
+
+
+def test_planted_residue_faults_raise(monkeypatch, fresh_residues):
     build = closed_model.__wrapped__
-    tau_inv = 1 / P5D4R2.tau
+    p5d4r46 = TowerParams(5, 4, 46)  # gamma: v = 1, L = 9, so n = 10..18 re-checked
     faults = (
-        ("non-integral", lambda n: n % 2 == 1),  # R shifted at every odd n
-        ("not 2-periodic", lambda n: n == 3),  # R shifted at n = 3 alone
+        (P5D4R2, P5D4R2.tau, "non-integral", lambda n: n % 2 == 1),
+        (P5D4R2, P5D4R2.tau, "not periodic", lambda n: n == 3),
+        (p5d4r46, p5d4r46.gamma, "not periodic", lambda n: n == 10),
+        (p5d4r46, p5d4r46.gamma, "not periodic", lambda n: n == 18),
     )
-    for message, planted in faults:
-        monkeypatch.setattr(
-            anum.closed_form, "A_fn",
-            lambda x_inv, p, n: A_fn(x_inv, p, n)
-            + Fraction(1, 2) * (x_inv == tau_inv and planted(n)))
-        fresh_tau_residues.cache_clear()
+    for params, x, message, planted in faults:
+        plant_half(monkeypatch, 1 / x, planted)
+        fresh_residues.cache_clear()
         with pytest.raises(InvariantViolationError, match=message):
-            build(P5D4R2)
+            build(params)
 
 
-def test_build_reads_tau_residues_at_most_four_times(monkeypatch, fresh_tau_residues):
-    params = TowerParams(31, 30, 100)
+def count_residue_calls(monkeypatch, params):
+    """Build params afresh and count A_fn and delta_sum_residue calls per slope."""
     calls = {"A tau": 0, "A gamma": 0, "B tau": 0, "B gamma": 0}
 
     def counted_A(x_inv, p, n):
@@ -429,9 +450,19 @@ def test_build_reads_tau_residues_at_most_four_times(monkeypatch, fresh_tau_resi
         calls["B tau" if x == params.tau else "B gamma"] += 1
         return delta_sum_residue(x, prm, n)
 
-    monkeypatch.setattr(anum.closed_form, "A_fn", counted_A)
-    monkeypatch.setattr(anum.closed_form, "delta_sum_residue", counted_B)
-    model = closed_model.__wrapped__(params)
-    assert model.claimed_period == 378
-    assert calls["A tau"] <= 4 and calls["B tau"] <= 4, calls
-    assert calls["A gamma"] == calls["B gamma"] == 2 * 378, calls
+    with monkeypatch.context() as patch:
+        patch.setattr(anum.closed_form, "A_fn", counted_A)
+        patch.setattr(anum.closed_form, "delta_sum_residue", counted_B)
+        model = closed_model.__wrapped__(params)
+    return model, calls
+
+
+def test_build_evaluates_each_residue_table_once(monkeypatch, fresh_residues):
+    # v + 2 L_gamma evaluations on gamma: (31, 30, 100) has v = 0 and
+    # L_gamma = 378; (5, 4, 46) has v = 1 and L_gamma = 9 (claimed period 18)
+    for cell, period, gamma_calls in (((31, 30, 100), 378, 756),
+                                      ((5, 4, 46), 18, 19)):
+        model, calls = count_residue_calls(monkeypatch, TowerParams(*cell))
+        assert model.claimed_period == period
+        assert calls["A tau"] <= 4 and calls["B tau"] <= 4, calls
+        assert calls["A gamma"] == calls["B gamma"] == gamma_calls, calls

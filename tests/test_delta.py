@@ -1,10 +1,12 @@
 """Indicator functions: pinned tables and their structural laws."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from anum import (
+    BudgetExceededError,
     TowerParams,
     delta,
     delta0,
@@ -165,6 +167,17 @@ def test_delta0_average():
     assert delta0_average(P5D4) == Fraction(1, 5)
     assert delta0_average(TowerParams(7, 1, 1)) == 0
     assert delta0_average(TowerParams(13, 4, 1)) == Fraction(3, 13)
+
+
+def test_delta0_table_is_refused_past_the_budget(monkeypatch):
+    with pytest.raises(BudgetExceededError, match="needs 10000000000000061 entries"):
+        TowerParams(10**16 + 61, 2, 1).delta0_prefix
+    module = importlib.import_module("anum.delta")  # anum.delta is the function
+    monkeypatch.setattr(module, "DEFAULT_COLUMN_BUDGET", 21)  # 7 * tau_den 3
+    assert len(TowerParams(7, 6, 1).delta0_prefix) == 22
+    monkeypatch.setattr(module, "DEFAULT_COLUMN_BUDGET", 20)
+    with pytest.raises(BudgetExceededError, match="budget is 20"):
+        TowerParams(7, 6, 1).delta0_prefix
 
 
 def test_delta0_as_sequence():

@@ -212,6 +212,21 @@ def test_is_prime_and_divisors():
     assert divisors(1) == [1]
 
 
+def test_divisors_match_the_naive_loop():
+    for n in range(1, 3001):
+        assert divisors(n) == [f for f in range(1, n + 1) if n % f == 0], n
+
+
+def test_divisors_of_a_large_p_minus_1_are_prompt():
+    # trial division stops near sqrt(27031410499), not near sqrt(10^16)
+    n = 10**16 + 60
+    assert n == 2**2 * 5 * 53 * 349 * 27031410499
+    got = divisors(n)
+    assert len(got) == 3 * 2**4 and got == sorted(set(got))
+    assert all(n % f == 0 for f in got) and got[-1] == n
+    assert got[:4] == [1, 2, 4, 5] and 27031410499 in got
+
+
 def trial_division(n):
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
