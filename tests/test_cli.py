@@ -540,3 +540,14 @@ def test_unknown_flags_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("compute",), "error: the following arguments are required: -p, -d, -r, -n"),
+    (("delta-table", "-p", "x"), "error: argument -p: invalid int value: 'x'"),
+])
+def test_parameter_flag_errors_are_pinned(capsys, argv, line):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == (2, "", line + "\n")
