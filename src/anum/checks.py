@@ -27,6 +27,7 @@ from .delta import (
     delta_lexicographic,
     delta_tilde,
     mu,
+    require_budget,
 )
 from .lattice import (
     a_number_bruteforce,
@@ -63,6 +64,7 @@ def checks(params: TowerParams, n_max: int, budget: int | None):
                    for i in range(1, 201) for e in (1, 2, 3))
 
     def shift():
+        require_budget(6 * block, None, "the delta0 law check")
         return all(delta0(params, i) == delta0(params, i + block)
                    for i in range(1, 5 * block + 1))
 

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  Every error path prints a single line prefixed "error:" to
-stderr.  The enumeration budget guards brute force in compute and verify;
-set it with --budget or the ANUM_BUDGET environment variable (flag wins).
-sweep exits 1 if any cell failed.  Output is deterministic: identical
-invocations produce byte-identical output.
+stderr.  --budget or ANUM_BUDGET (flag wins) sets the brute-force column
+budget of compute and verify; the delta0 table and laws, delta-table rows
+and sweep cells are refused past the fixed default.  sweep exits 1 if any
+cell failed.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 from .analysis import SWEEP_COLUMNS, sweep
 from .checks import checks
 from .closed_form import closed_model, evaluate, model_to_dict
-from .delta import TowerParams, delta, delta0, delta_tilde
+from .delta import TowerParams, delta, delta0, delta_tilde, require_budget
 from .errors import BudgetExceededError, InvariantViolationError, PreDelayError
 from .exact_arith import divisors, format_rational, is_prime
 from .lattice import a_number_bruteforce
@@ -288,10 +288,9 @@ def cmd_sweep(args) -> int:
     if args.r_max < 0:
         raise UsageError(f"--r-max must be >= 0, got {args.r_max}")
     primes = _int_list(args.p_list, "--p-list", "prime", _check_prime)
-    grid = [(p, d, r)
-            for p in primes
-            for d in _d_values(args.d_mode, p)
-            for r in range(1, args.r_max + 1)]
+    pairs = [(p, d) for p in primes for d in _d_values(args.d_mode, p)]
+    require_budget(len(pairs) * args.r_max, None, "the sweep grid", "cells")
+    grid = [(p, d, r) for p, d in pairs for r in range(1, args.r_max + 1)]
     with _output(args.out) as write:
         rows = sweep(grid)
         write(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
@@ -306,6 +305,7 @@ def cmd_delta_table(args) -> int:
     params = _make_params(args.p, args.d, 1)  # r does not enter the indicators
     if args.i_max < 1:
         raise UsageError(f"--i-max must be >= 1, got {args.i_max}")
+    require_budget(args.i_max)
     rows = [(i, delta(params, i), delta0(params, i), delta_tilde(params, i))
             for i in range(1, args.i_max + 1)]
     text = _render(("i", "delta", "delta0", "delta_tilde"), rows, args.format,
@@ -323,29 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
                                  "brute force, split forms, and closed "
                                  "quasi-polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
+    pd = argparse.ArgumentParser(add_help=False)
+    pd.add_argument("-p", type=int, required=True)
+    pd.add_argument("-d", type=int, required=True)
+    pdr = argparse.ArgumentParser(add_help=False, parents=[pd])
+    pdr.add_argument("-r", type=int, required=True)
 
-    compute = sub.add_parser("compute", help="one value, by either or both methods")
-    compute.add_argument("-p", type=int, required=True)
-    compute.add_argument("-d", type=int, required=True)
-    compute.add_argument("-r", type=int, required=True)
+    compute = sub.add_parser("compute", parents=[pdr],
+                             help="one value, by either or both methods")
     compute.add_argument("-n", type=int, required=True)
     compute.add_argument("--method", choices=("brute", "closed", "both"),
                          default="both")
     compute.add_argument("--budget", type=_budget_int, default=None)
     compute.set_defaults(func=cmd_compute)
 
-    formula = sub.add_parser("formula", help="render the closed form")
-    formula.add_argument("-p", type=int, required=True)
-    formula.add_argument("-d", type=int, required=True)
-    formula.add_argument("-r", type=int, required=True)
+    formula = sub.add_parser("formula", parents=[pdr], help="render the closed form")
     formula.add_argument("--format", choices=FORMATS, default="markdown")
     formula.set_defaults(func=cmd_formula)
 
-    verify = sub.add_parser("verify", help="run the identity suite for one "
-                                           "parameter set")
-    verify.add_argument("-p", type=int, required=True)
-    verify.add_argument("-d", type=int, required=True)
-    verify.add_argument("-r", type=int, required=True)
+    verify = sub.add_parser("verify", parents=[pdr],
+                            help="run the identity suite for one parameter set")
     verify.add_argument("--n-max", type=int, default=3)
     verify.add_argument("--budget", type=_budget_int, default=None)
     verify.set_defaults(func=cmd_verify)
@@ -358,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", default=None)
     swp.set_defaults(func=cmd_sweep)
 
-    table = sub.add_parser("delta-table", help="tabulate the indicators")
-    table.add_argument("-p", type=int, required=True)
-    table.add_argument("-d", type=int, required=True)
+    table = sub.add_parser("delta-table", parents=[pd], help="tabulate the indicators")
     table.add_argument("--i-max", type=int, default=19)
     table.add_argument("--format", choices=FORMATS, default="markdown")
     table.set_defaults(func=cmd_delta_table)

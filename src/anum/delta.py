@@ -47,8 +47,38 @@ from functools import cached_property, lru_cache
 from .errors import BudgetExceededError, InvariantViolationError
 from .exact_arith import PAdicForm, digit, is_prime, p_adic_decompose
 
-# Columns brute force may enumerate, and entries the delta0 table may hold
+# Columns brute force may enumerate, and the cap on every other gated count
 DEFAULT_COLUMN_BUDGET = 10**7
+
+
+def _more_than(bits: int) -> str:
+    """A count of at least 2^bits named by a power of ten below it:
+    0.30102 < log10(2), so 10^k <= 2^bits."""
+    return f"more than 10^{bits * 30102 // 100000}"
+
+
+def _count_text(count: int) -> str:
+    """count in full below 2^100, above that as a power of ten below it, so
+    a message stays one short line."""
+    bits = count.bit_length() - 1
+    return str(count) if bits < 100 else _more_than(bits)
+
+
+def _budget_limit(budget: int | None) -> int:
+    return DEFAULT_COLUMN_BUDGET if budget is None else budget
+
+
+def _budget_error(need, budget, what="enumeration", unit="columns"):
+    limit = _count_text(_budget_limit(budget))
+    return BudgetExceededError(f"{what} needs {need} {unit}, budget is {limit}")
+
+
+def require_budget(count: int, budget: int | None = None, what="enumeration",
+                   unit="columns") -> None:
+    """Refuse count, before any of it is built, past the budget in force.
+    Brute force alone is given a budget; other callers keep the default."""
+    if count > _budget_limit(budget):
+        raise _budget_error(_count_text(count), budget, what, unit)
 
 
 @dataclass(frozen=True)
@@ -115,12 +145,9 @@ class TowerParams:
     @cached_property
     def delta0_prefix(self) -> tuple[int, ...]:
         """Cumulative sums of delta0 over one full period: entry m is
-        sum_{i=1..m} delta0(i) for 0 <= m <= tau_den * p.  Refused past
-        DEFAULT_COLUMN_BUDGET entries, before any of them is built."""
+        sum_{i=1..m} delta0(i) for 0 <= m <= tau_den * p."""
         block = self.tau_den * self.p
-        if block > DEFAULT_COLUMN_BUDGET:
-            raise BudgetExceededError(f"the delta0 table needs {block} entries, "
-                                      f"budget is {DEFAULT_COLUMN_BUDGET}")
+        require_budget(block, None, "the delta0 table", "entries")
         sums = [0]
         for i in range(1, block + 1):
             sums.append(sums[-1] + delta0(self, i))

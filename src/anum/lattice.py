@@ -17,32 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delta import DEFAULT_COLUMN_BUDGET, TowerParams, mu_sum
-from .errors import BudgetExceededError, InvariantViolationError
-
-
-def _more_than(bits: int) -> str:
-    """A count of at least 2^bits named by a power of ten below it:
-    0.30102 < log10(2), so 10^k <= 2^bits."""
-    return f"more than 10^{bits * 30102 // 100000}"
-
-
-def _count_text(count: int) -> str:
-    """count in full below 2^100, above that as a power of ten below it, so
-    a message stays one short line."""
-    bits = count.bit_length() - 1
-    return str(count) if bits < 100 else _more_than(bits)
-
-
-def _budget_error(need: str, limit: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"enumeration needs {need} columns, budget is {_count_text(limit)}")
-
-
-def _require_budget(columns: int, budget: int | None) -> None:
-    limit = DEFAULT_COLUMN_BUDGET if budget is None else budget
-    if columns > limit:
-        raise _budget_error(_count_text(columns), limit)
+from .delta import (TowerParams, _budget_error, _budget_limit, _more_than,
+                    mu_sum, require_budget)
+from .errors import InvariantViolationError
 
 
 def _top_bits(x: int, e: int) -> tuple[int, int]:
@@ -80,14 +57,13 @@ def _refuse_early(p: int, n: int, budget: int | None, num: int,
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    limit = DEFAULT_COLUMN_BUDGET if budget is None else budget
     m, e = _pow_floor(p, n)
     mant = m * num // den - 1
     if mant < 1:
         return
     bits = mant.bit_length() - 1 + e
-    if bits >= max(100, limit.bit_length()):
-        raise _budget_error(_more_than(bits), limit)
+    if bits >= max(100, _budget_limit(budget).bit_length()):
+        raise _budget_error(_more_than(bits), budget)
 
 
 def t_n(params: TowerParams, n: int) -> int:
@@ -121,7 +97,7 @@ def count_delta_region(params: TowerParams, n: int, budget: int | None = None) -
                   (p + 1) * ((r + 1) * p - (r - 1)))
     t = t_n(params, n)
     last = last_column(params, n)
-    _require_budget(last - t, budget)
+    require_budget(last - t, budget)
     return (last - t) * p**n - mu_sum(params, t, last)
 
 
@@ -164,7 +140,7 @@ def triangle_lattice_count(params: TowerParams, n: int,
     p, d = params.p, params.d
     _refuse_early(p, n, budget, d, p + 1)  # last + 1 > d*p^n/(p+1)
     last = last_column(params, n)
-    _require_budget(last + 1, budget)
+    require_budget(last + 1, budget)
     pn = p**n
     step = params.r * (p - 1) // d
     count = 0

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -495,6 +496,33 @@ def test_huge_p_closed_paths_refuse_the_delta0_table_at_once():
     assert all(row["error"].startswith("BudgetExceededError: the delta0 table")
                for row in rows)
     assert err.startswith("error: 48 of 48 sweep cells failed")
+
+
+OUT = object()  # stands for an --out path in a fresh directory
+
+REFUSAL = re.compile(r"^error: .+ needs (\d+|more than 10\^\d+) "
+                     r"(columns|entries|cells), budget is (\d+|more than 10\^\d+)$")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "30000000",
+     "--method", "brute"),
+    ("formula", "-p", HUGE_P, "-d", "2", "-r", "1"),
+    ("verify", "-p", HUGE_P, "-d", "2", "-r", "1"),
+    ("verify", "-p", "10007", "-d", "5003", "-r", "1"),
+    ("delta-table", "-p", "5", "-d", "4", "--i-max", "100000000"),
+    ("sweep", "--p-list", "5", "--r-max", "100000000"),
+    ("sweep", "--p-list", "5", "--r-max", "100000000", "--out", OUT),
+])
+def test_every_refusal_is_one_budget_line(tmp_path, argv):
+    argv = [str(tmp_path / "grid.csv") if a is OUT else a for a in argv]
+    code, out, err = run_fresh(*argv, timeout=20)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and REFUSAL.match(err.rstrip("\n")), err
+    # verify prints the three laws that pass before the refusal
+    expected = 3 if argv[0] == "verify" else 0
+    assert [line[:3] for line in out.splitlines()] == ["ok "] * expected
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flags, line", [

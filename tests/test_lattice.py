@@ -23,7 +23,8 @@ from anum import (
     t_n,
     triangle_lattice_count,
 )
-from anum.lattice import _count_text, _delta_prefix, _floor_sum
+from anum.delta import _count_text
+from anum.lattice import _delta_prefix, _floor_sum
 from helpers import (
     count_delta_region_pointwise,
     count_tilde_delta,
