@@ -42,7 +42,12 @@ that delay the closed form is genuinely wrong and `evaluate` refuses; use
 the brute-force counter there.  Each slope has one residue table
 (`_residues`): v + 2 L_x evaluations, the second period checked against
 the first, the head plus one cycle kept.  For tau, p = -1 modulo its
-numerator, so v = 0 and L_tau divides 2: at most 4 evaluations.
+numerator, so v = 0 and L_tau divides 2: at most 4 evaluations.  A build
+reads the two tables once and indexes its 2L nu window in them, through
+the reader `nu_value` also uses.  The value is checked, and `evaluate`
+computed, over the common denominator D of quad, lam and the nu table:
+D * value is an integer expression in which p^{2n} only multiplies an
+integer and advances by one multiplication by p^2 per step.
 """
 
 from __future__ import annotations
@@ -50,10 +55,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .delta import TowerParams, delta0_average
+from .delta import TowerParams, _count_text, delta0_average, require_budget
 from .errors import InvariantViolationError, PreDelayError
 from .exact_arith import (
     divisors,
@@ -207,16 +212,34 @@ def _residues(x: Fraction, params: TowerParams) -> tuple[int, tuple[Fraction, ..
     return v, tuple(r[:v + period])
 
 
-def _residue(x: Fraction, params: TowerParams, n: int) -> Fraction:
-    v, table = _residues(x, params)
-    return table[n if n < len(table) else v + (n - v) % (len(table) - v)]
+def _nu(tables, n: int) -> Fraction:
+    """R(tau, n) - R(gamma, n), indexed in the two slopes' (v, table) pairs:
+    the one reader of `nu_value` and of the build's window."""
+    tau, gamma = (table[n if n < len(table) else v + (n - v) % (len(table) - v)]
+                  for v, table in tables)
+    return tau - gamma
 
 
 def nu_value(params: TowerParams, n: int) -> Fraction:
     """The periodic constant term at n >= 0: R(tau, n) - R(gamma, n)."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return _residue(params.tau, params, n) - _residue(params.gamma, params, n)
+    return _nu((_residues(params.tau, params), _residues(params.gamma, params)), n)
+
+
+def nu_period(params: TowerParams) -> int:
+    """L = lcm(L_gamma, 2): the period the build claims for nu and checks
+    over a window of 2L entries."""
+    return math.lcm(multiplicative_order(params.p, params.gamma_num), 2)
+
+
+def require_build_budget(params: TowerParams, budget: int | None = None) -> None:
+    """Refuse a build whose 2L window entries exceed the budget, before any
+    is evaluated.  The delta0 table is refused first: past it, the order
+    behind L may be out of reach of trial division."""
+    delta0_average(params)
+    require_budget(2 * nu_period(params), budget, "the closed-form build",
+                   "entries")
 
 
 @dataclass(frozen=True)
@@ -236,6 +259,12 @@ class ClosedFormModel:
     claimed_period: int
     nu_table: tuple[Fraction, ...]
 
+    @cached_property
+    def _den(self) -> int:
+        """D: the common denominator of quad, lam and the nu table."""
+        return math.lcm(self.quad_coeff.denominator, self.lam.denominator,
+                        *(v.denominator for v in self.nu_table))
+
 
 @lru_cache(maxsize=64)
 def closed_model(params: TowerParams) -> ClosedFormModel:
@@ -243,9 +272,10 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
 
     The quadratic coefficient is rendered two independent ways (from the
     slopes and from the single reduced fraction in p, d, r) to catch
-    parameter-wiring mistakes; the nu table is built by evaluation and its
-    periodicity, integrality, and non-negativity are verified over two
-    full periods past the delay.
+    parameter-wiring mistakes.  The nu window over two full periods past
+    the delay is indexed in the two slopes' residue tables and must repeat
+    its first period; the value is then checked integral and non-negative
+    at every n of the window, in integers over the common denominator D.
     """
     p, d, r = params.p, params.d, params.r
     quad = (1 / params.tau - 1 / params.gamma) / 2
@@ -255,8 +285,9 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
             f"quadratic coefficient mismatch: {quad} vs {wired}")
     lam = lambda_r(params)
     delay = params.gamma_vp
-    period = math.lcm(multiplicative_order(p, params.gamma_num), 2)
-    window = [nu_value(params, n) for n in range(delay, delay + 2 * period)]
+    period = nu_period(params)
+    tables = _residues(params.tau, params), _residues(params.gamma, params)
+    window = [_nu(tables, n) for n in range(delay, delay + 2 * period)]
     if window[:period] != window[period:]:
         raise InvariantViolationError(
             f"nu residue is not {period}-periodic over the verification window")
@@ -264,9 +295,38 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
         params=params, quad_coeff=quad, lam=lam, delay=delay,
         claimed_period=period,
         nu_table=tuple(window[(j - delay) % period] for j in range(period)))
-    for n in range(delay, delay + 2 * period):
-        evaluate(model, n)  # raises unless integral and non-negative
+    _checked_value(model, delay, delay + 2 * period)
     return model
+
+
+def _value_text(num: int, den: int) -> str:
+    """num/den in full below 2^100 in size; above that its sign and a power
+    of ten below its size, as a budget message writes a count."""
+    size = abs(num) // den
+    if size.bit_length() <= 100:
+        return str(Fraction(num, den))
+    return f"{'-' if num < 0 else ''}({_count_text(size)})"
+
+
+def _checked_value(model: ClosedFormModel, lo: int, hi: int) -> int:
+    """The closed form at n = hi - 1, after checking that it is integral and
+    non-negative at every n in [lo, hi).  It runs over D times the value,
+    D the common denominator, so p^(2n) only multiplies an integer and
+    advances by one multiplication by p^2 per step."""
+    den, table = model._den, model.nu_table
+    quad, lam = (v.numerator * (den // v.denominator)
+                 for v in (model.quad_coeff, model.lam))
+    step = model.params.p ** 2
+    power = step ** lo
+    for n in range(lo, hi):
+        nu = table[n % model.claimed_period]
+        num = quad * power + lam * n + nu.numerator * (den // nu.denominator)
+        if num % den or num < 0:
+            raise InvariantViolationError(
+                f"closed form gave non-integral or negative value "
+                f"{_value_text(num, den)} at n={n}")
+        power *= step
+    return num // den
 
 
 def evaluate(model: ClosedFormModel, n: int) -> int:
@@ -280,13 +340,7 @@ def evaluate(model: ClosedFormModel, n: int) -> int:
         raise PreDelayError(
             f"closed form is not valid for n={n} < delay {model.delay}; "
             f"use the brute-force counter instead")
-    p = model.params.p
-    value = (model.quad_coeff * p**(2 * n) + model.lam * n
-             + model.nu_table[n % model.claimed_period])
-    if value.denominator != 1 or value < 0:
-        raise InvariantViolationError(
-            f"closed form gave non-integral or negative value {value} at n={n}")
-    return int(value)
+    return _checked_value(model, n, n + 1)
 
 
 def minimal_nu_period(model: ClosedFormModel) -> int:

@@ -99,12 +99,12 @@ class TowerParams:
         if self.r < 1:
             raise ValueError(f"r must be a positive integer, got {self.r}")
 
-    @property
+    @cached_property
     def tau(self) -> Fraction:
         """(p+1)/d: slope of the region's lower boundary line."""
         return Fraction(self.p + 1, self.d)
 
-    @property
+    @cached_property
     def gamma(self) -> Fraction:
         """((p-1)r + (p+1))/d; p^n/gamma is the x-coordinate of the lower
         vertex of the bounding triangle."""

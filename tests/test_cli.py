@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -324,6 +325,36 @@ def test_budget_refuses_a_huge_n_at_once(capsys):
                    "budget is 10000000\n")
 
 
+BUILD_REFUSAL = "error: the closed-form build needs 60204 entries, budget is 5\n"
+
+
+def test_closed_form_build_is_refused_before_it_starts(capsys, monkeypatch):
+    # (13, 12, 5016) has L = 30102: its build takes about half a minute
+    cell = ("-p", "13", "-d", "12", "-r", "5016")
+    for argv in (("formula", *cell, "--budget", "5"),
+                 ("compute", *cell, "-n", "3", "--method", "closed",
+                  "--budget", "5")):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (3, "", BUILD_REFUSAL)
+        assert time.perf_counter() - start < 1
+    monkeypatch.setenv("ANUM_BUDGET", "5")
+    assert run(capsys, "formula", *cell) == (3, "", BUILD_REFUSAL)
+    # the flag wins over the environment, and 2L = 12 entries fit in 12
+    code, out, _ = run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2",
+                       "--budget", "12")
+    assert code == 0 and out.startswith("p=5 d=4 r=2: value = 4/21")
+    code, _, err = run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2",
+                       "--budget", "11")
+    assert code == 3 and "needs 12 entries, budget is 11" in err
+    # under --method both the budget sizes the brute-force columns only
+    monkeypatch.delenv("ANUM_BUDGET")
+    code, out, _ = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
+                       "-n", "1", "--method", "both", "--budget", "11")
+    assert code == 0 and "AGREE" in out
+    assert run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2",
+               "--budget", "-1") == (2, "", "error: --budget must be >= 0, got -1\n")
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -513,6 +544,7 @@ REFUSAL = re.compile(r"^error: .+ needs (\d+|more than 10\^\d+) "
     ("delta-table", "-p", "5", "-d", "4", "--i-max", "100000000"),
     ("sweep", "--p-list", "5", "--r-max", "100000000"),
     ("sweep", "--p-list", "5", "--r-max", "100000000", "--out", OUT),
+    ("formula", "-p", "13", "-d", "12", "-r", "5016", "--budget", "5"),
 ])
 def test_every_refusal_is_one_budget_line(tmp_path, argv):
     argv = [str(tmp_path / "grid.csv") if a is OUT else a for a in argv]

@@ -1,5 +1,6 @@
 """Closed forms against term-by-term summation and pinned residue tables."""
 
+import dataclasses
 import importlib
 from fractions import Fraction
 
@@ -264,6 +265,42 @@ def test_evaluate_matches_bruteforce_sample():
             assert evaluate(model, n) == a_number_bruteforce(params, n).total
 
 
+def reference_value(model, n):
+    """quad * p^(2n) + lam * n + nu(n), written out in Fractions."""
+    p = model.params.p
+    return (model.quad_coeff * p**(2 * n) + model.lam * n
+            + model.nu_table[n % model.claimed_period])
+
+
+def test_evaluate_matches_the_written_out_form():
+    for params in full_grid():
+        model = closed_model(params)
+        for n in range(model.delay, model.delay + 2 * model.claimed_period):
+            assert evaluate(model, n) == reference_value(model, n), (params, n)
+    model = closed_model(TowerParams(13, 12, 20))
+    value = evaluate(model, 2000)
+    assert value == reference_value(model, 2000)
+    assert 10**4455 < value < 10**4456  # past the 4300-digit str() limit
+
+
+def test_integrality_refusal_at_large_n_is_an_invariant_violation():
+    # the value there is past the 4300-digit int-to-str limit, so the
+    # message writes it as its sign and a power of ten
+    model = closed_model(TowerParams(13, 12, 20))
+    bad = dataclasses.replace(
+        model, nu_table=tuple(v + Fraction(1, 2) for v in model.nu_table))
+    with pytest.raises(InvariantViolationError, match="non-integral"):
+        evaluate(bad, 5)
+    with pytest.raises(InvariantViolationError,
+                       match=r"value \(more than 10\^\d+\) at n=3000$"):
+        evaluate(bad, 3000)
+    low = dataclasses.replace(
+        model, nu_table=tuple(v - 10**4000 for v in model.nu_table))
+    with pytest.raises(InvariantViolationError,
+                       match=r"negative value -\(more than 10\^3999\) at n=5$"):
+        evaluate(low, 5)
+
+
 def test_evaluate_is_integral_over_two_periods():
     for params in (P5D4R2, TowerParams(5, 2, 7), TowerParams(7, 6, 3)):
         model = closed_model(params)
@@ -369,15 +406,15 @@ def test_closed_model_self_checks_raise(monkeypatch):
         delta0_average(MiscountedDelta0(7, 6, 1))
     model = build(P5D4R2)
     period = model.claimed_period
-    nu_value = anum.closed_form.nu_value
+    read = anum.closed_form._nu  # the reader behind the window and nu_value
     tampers = (
         ("periodic", lambda n, v: v + Fraction(1, 7) * (n == period + 1)),
         ("non-integral", lambda n, v: v + Fraction(1, 2)),
         ("negative value -", lambda n, v: v - 10**9),
     )
     for message, change in tampers:
-        monkeypatch.setattr(anum.closed_form, "nu_value",
-                            lambda params, n: change(n, nu_value(params, n)))
+        monkeypatch.setattr(anum.closed_form, "_nu",
+                            lambda tables, n: change(n, read(tables, n)))
         with pytest.raises(InvariantViolationError, match=message):
             build(P5D4R2)
     monkeypatch.undo()
@@ -405,12 +442,18 @@ def fresh_residues():
 
 
 def test_residue_tables_match_direct_evaluation(fresh_residues):
-    read = anum.closed_form._residue
+    # each slope is read alone through the shared reader, against a table
+    # that reads 0 at every n
+    read, zero = anum.closed_form._nu, (0, (Fraction(0),))
     for params in full_grid():
-        for x in (params.tau, params.gamma):
-            for n in range(51):
-                direct = A_fn(1 / x, params.p, n) - delta_sum_residue(x, params, n)
-                assert read(x, params, n) == direct, (params, x, n)
+        tau, gamma = (fresh_residues(x, params) for x in (params.tau, params.gamma))
+        for n in range(51):
+            r_tau, r_gamma = (A_fn(1 / x, params.p, n)
+                              - delta_sum_residue(x, params, n)
+                              for x in (params.tau, params.gamma))
+            assert read((tau, zero), n) == r_tau, (params, n)
+            assert read((zero, gamma), n) == -r_gamma, (params, n)
+            assert anum.closed_form.nu_value(params, n) == r_tau - r_gamma
     with pytest.raises(ValueError, match="non-negative"):
         anum.closed_form.nu_value(P5D4R2, -1)
 
@@ -466,3 +509,15 @@ def test_build_evaluates_each_residue_table_once(monkeypatch, fresh_residues):
         assert model.claimed_period == period
         assert calls["A tau"] <= 4 and calls["B tau"] <= 4, calls
         assert calls["A gamma"] == calls["B gamma"] == gamma_calls, calls
+
+
+def test_build_reads_each_residue_table_once(monkeypatch, fresh_residues):
+    # one lookup per slope; the 2L window is indexed, not read through nu_value
+    def unreachable(params, n):
+        raise AssertionError(f"nu_value({params}, {n}) was called")
+
+    monkeypatch.setattr(anum.closed_form, "nu_value", unreachable)
+    for cell in ((31, 30, 100), (5, 4, 46), (13, 12, 20)):
+        fresh_residues.cache_clear()
+        closed_model.__wrapped__(TowerParams(*cell))
+        assert fresh_residues.cache_info().misses == 2, cell
