@@ -3,11 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  Every error path prints a single line prefixed "error:" to
 stderr.  --budget or ANUM_BUDGET (flag wins) sets the brute-force column
-budget of compute and verify, and the budget of the closed-form build's
-2L window entries in formula and compute --method closed; the build under
-compute --method both, the delta0 table and laws, delta-table rows and
-sweep cells are refused past the fixed default.  sweep exits 1 if any
-cell failed.  Identical invocations produce byte-identical output.
+budget of compute and verify; the closed-form build's 2L window entries,
+the delta0 table and laws, delta-table rows and sweep cells are refused
+past the fixed default.  sweep exits 1 if any cell failed.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -188,8 +187,7 @@ def cmd_compute(args) -> int:
         raise UsageError(f"n must be >= 0, got {args.n}")
     budget = _budget(args)
     if args.method != "brute":
-        # under both, --budget sizes the brute-force columns
-        require_build_budget(params, budget if args.method == "closed" else None)
+        require_build_budget(params)
     lines = [f"p={params.p} d={params.d} r={params.r} n={args.n}"]
     brute = closed = None
     if args.method in ("brute", "both"):
@@ -219,7 +217,7 @@ def cmd_compute(args) -> int:
 
 def cmd_formula(args) -> int:
     params = _make_params(args.p, args.d, args.r)
-    require_build_budget(params, _budget(args))
+    require_build_budget(params)
     data = model_to_dict(closed_model(params))
     period, nu = data["period"], data["nu"]
     if args.format == "json":
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     formula = sub.add_parser("formula", parents=[pdr], help="render the closed form")
     formula.add_argument("--format", choices=FORMATS, default="markdown")
-    formula.add_argument("--budget", type=_budget_int, default=None)
     formula.set_defaults(func=cmd_formula)
 
     verify = sub.add_parser("verify", parents=[pdr],

@@ -227,18 +227,20 @@ def nu_value(params: TowerParams, n: int) -> Fraction:
     return _nu((_residues(params.tau, params), _residues(params.gamma, params)), n)
 
 
+@lru_cache(maxsize=64)
 def nu_period(params: TowerParams) -> int:
     """L = lcm(L_gamma, 2): the period the build claims for nu and checks
-    over a window of 2L entries."""
+    over a window of 2L entries.  Cached, so the gate and the build take
+    the order once."""
     return math.lcm(multiplicative_order(params.p, params.gamma_num), 2)
 
 
-def require_build_budget(params: TowerParams, budget: int | None = None) -> None:
-    """Refuse a build whose 2L window entries exceed the budget, before any
-    is evaluated.  The delta0 table is refused first: past it, the order
-    behind L may be out of reach of trial division."""
+def require_build_budget(params: TowerParams) -> None:
+    """Refuse a build whose 2L window entries exceed the default budget,
+    before any is evaluated.  The delta0 table is refused first: past it,
+    the order behind L may be out of reach of trial division."""
     delta0_average(params)
-    require_budget(2 * nu_period(params), budget, "the closed-form build",
+    require_budget(2 * nu_period(params), None, "the closed-form build",
                    "entries")
 
 

@@ -325,34 +325,34 @@ def test_budget_refuses_a_huge_n_at_once(capsys):
                    "budget is 10000000\n")
 
 
-BUILD_REFUSAL = "error: the closed-form build needs 60204 entries, budget is 5\n"
+BUILD_REFUSAL = ("error: the closed-form build needs 20000204 entries, "
+                 "budget is 10000000\n")
 
 
 def test_closed_form_build_is_refused_before_it_starts(capsys, monkeypatch):
-    # (13, 12, 5016) has L = 30102: its build takes about half a minute
-    cell = ("-p", "13", "-d", "12", "-r", "5016")
-    for argv in (("formula", *cell, "--budget", "5"),
-                 ("compute", *cell, "-n", "3", "--method", "closed",
-                  "--budget", "5")):
+    # gamma's numerator at (5, 4, 5000050) is the prime 10000103, of which 5
+    # is a primitive root: L = 10000102, so the 2L window is past 10^7
+    # is refused at the default in a fresh process, even under a --budget
+    # that would admit it
+    cell = ("-p", "5", "-d", "4", "-r", "5000050")
+    for argv in (("formula", *cell),
+                 *(("compute", *cell, "-n", "3", "--method", method,
+                    "--budget", "100000000") for method in ("closed", "both"))):
         start = time.perf_counter()
-        assert run(capsys, *argv) == (3, "", BUILD_REFUSAL)
-        assert time.perf_counter() - start < 1
-    monkeypatch.setenv("ANUM_BUDGET", "5")
-    assert run(capsys, "formula", *cell) == (3, "", BUILD_REFUSAL)
-    # the flag wins over the environment, and 2L = 12 entries fit in 12
-    code, out, _ = run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2",
-                       "--budget", "12")
+        assert run_fresh(*argv, timeout=20) == (3, "", BUILD_REFUSAL)
+        assert time.perf_counter() - start < 2
+    # the build is held to the default: --budget and ANUM_BUDGET size
+    # brute force alone, and formula has no --budget
+    monkeypatch.setenv("ANUM_BUDGET", "0")
+    code, out, _ = run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2")
     assert code == 0 and out.startswith("p=5 d=4 r=2: value = 4/21")
-    code, _, err = run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2",
-                       "--budget", "11")
-    assert code == 3 and "needs 12 entries, budget is 11" in err
-    # under --method both the budget sizes the brute-force columns only
-    monkeypatch.delenv("ANUM_BUDGET")
     code, out, _ = run(capsys, "compute", "-p", "5", "-d", "4", "-r", "2",
-                       "-n", "1", "--method", "both", "--budget", "11")
-    assert code == 0 and "AGREE" in out
-    assert run(capsys, "formula", "-p", "5", "-d", "4", "-r", "2",
-               "--budget", "-1") == (2, "", "error: --budget must be >= 0, got -1\n")
+                       "-n", "3", "--method", "closed", "--budget", "0")
+    assert code == 0 and out.endswith("closed = 2977\n")
+    with pytest.raises(SystemExit) as info:
+        main(["formula", "-p", "5", "-d", "4", "-r", "2", "--budget", "5"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --budget 5\n"
 
 
 def _run_in_process(argv):
@@ -544,7 +544,7 @@ REFUSAL = re.compile(r"^error: .+ needs (\d+|more than 10\^\d+) "
     ("delta-table", "-p", "5", "-d", "4", "--i-max", "100000000"),
     ("sweep", "--p-list", "5", "--r-max", "100000000"),
     ("sweep", "--p-list", "5", "--r-max", "100000000", "--out", OUT),
-    ("formula", "-p", "13", "-d", "12", "-r", "5016", "--budget", "5"),
+    ("formula", "-p", "5", "-d", "4", "-r", "5000050"),
 ])
 def test_every_refusal_is_one_budget_line(tmp_path, argv):
     argv = [str(tmp_path / "grid.csv") if a is OUT else a for a in argv]
