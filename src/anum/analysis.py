@@ -11,9 +11,10 @@ delay and one step past it.  Certifying the period from an independent
 oracle is ROADMAP item 2.
 
 The pairing r -> (r+1)p + 1 multiplies gamma by p, so the linear
-coefficients agree and the delay grows by exactly one; whether the
-measured minimal periods also agree is open, so the sweep records it as
-data and never asserts it.
+coefficients agree and the delay grows by exactly one.  The measured
+minimal periods need not agree: at p=7, d=6, r=4 (lambda = 1/2) the
+period is 1, and at its partner r = 36 it is 2.  The sweep records the
+comparison as data (partner_period_equal) and never asserts it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .closed_form import closed_model, lambda_r, minimal_nu_period
+from .closed_form import (closed_model, lambda_r, minimal_nu_period,
+                          require_build_budget)
 from .delta import TowerParams
 from .errors import InvariantViolationError
 from .exact_arith import multiplicative_order
@@ -71,8 +73,10 @@ def minimal_period(params: TowerParams) -> PeriodReport:
     for n = 0 .. delay+1 and must match the table at delay and delay+1.
     The delay is then walked down while the residual one period later, read
     from the split forms below the formula delay and from the table at and
-    past it, still agrees.
+    past it, still agrees.  A build past the default budget is refused
+    before it starts, as `formula` refuses it.
     """
+    require_build_budget(params)
     model = closed_model(params)
     bound = model.claimed_period
     start = model.delay
@@ -116,8 +120,9 @@ class PairingRecord:
     """Comparison of r0 against its partner r1 = (r0+1)p + 1.
 
     The linear-coefficient and delay relations are theorems and are
-    asserted on construction.  Equality of the measured minimal periods
-    is open; the sweep records it as data (partner_period_equal).
+    asserted on construction.  The measured minimal periods need not be
+    equal (1 at p=7, d=6, r0=4 against 2 at r1=36), so the sweep records
+    their comparison as data (partner_period_equal).
     """
 
     r0: int

@@ -21,15 +21,15 @@ where tau_den = d / gcd(d, 2) is the denominator of tau in lowest terms.
 With num = (p+1)*i, the first fractional digit is (num mod d)*p // d and
 the ones digit is floor(num/d) mod p; when tau_den | i, num mod d = 0 and
 the test gives 0 with no separate check.  `mu_sum` runs the collapsed test
-over a column range with p and d hoisted, and `delta`, `mu` and brute force
-all read it; `delta_lexicographic` keeps the raw sequence comparison as a
-slow reference, and their agreement is itself one of the package's
-property tests.
+over a column range (a long range one residue class of i mod p at a
+time), and `delta`, `mu` and brute force all read it; `delta_lexicographic`
+keeps the raw sequence comparison as a slow reference, and their agreement
+is itself one of the package's property tests.
 
-Cost, from traced `query` benchmark runs (seed 7, 2 vCPUs, Python 3.11):
-a brute-force column costs 262 ns in `mu_sum` (`lattice.ns_per_column`),
-and a scalar `mu` call, which runs that loop for one column, 676 ns
-(`delta.mu.ns_per_call`).
+Cost, from the traced run `bench/run.py --workload query --seed 7
+--seconds 34 --trace 1` (2 vCPUs, Python 3.11.7): a brute-force column
+costs 228 ns in `mu_sum` (`lattice.ns_per_column`), and a scalar `mu`
+call, one column in order, 1010 ns (`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period
@@ -157,10 +157,14 @@ class TowerParams:
 def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
     """sum_{lo < i <= hi} mu(i), column by column: the collapsed delta test
     on i with its factors of p stripped, plus floor(tau*i).  Empty when
-    hi <= lo."""
+    hi <= lo.  A window of 16p columns or more at d <= 1024 (the cached
+    digit table has d entries) goes to `_mu_sum_by_class`; in a shorter
+    one a class costs more to set up than it saves."""
     if lo < 0:
         raise ValueError(f"lo must be non-negative, got {lo}")
     p, d = params.p, params.d
+    if hi - lo >= 16 * p and d <= 1024:
+        return _mu_sum_by_class(p, d, lo, hi)
     q = p + 1
     total = 0
     for i in range(lo + 1, hi + 1):
@@ -173,6 +177,36 @@ def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
             num = q * j
             ones = num // d
         total += floor_v + (num % d * p // d > ones % p)
+    return total
+
+
+@lru_cache(maxsize=64)
+def _first_digits(p: int, d: int) -> tuple[int, ...]:
+    return tuple(k * p // d for k in range(d))  # first digit of k/d
+
+
+def _mu_sum_by_class(p: int, d: int, lo: int, hi: int) -> int:
+    """`mu_sum` one residue class of i mod p at a time over num = (p+1)*i:
+    a multiple of p adds its floor here and its delta, stripped of one p,
+    at the next level (lo//p, hi//p]."""
+    q = p + 1
+    first = _first_digits(p, d)
+    total = 0
+    for start in range(lo + 1, lo + p + 1):
+        nums = range(q * start, q * hi + 1, q * p)
+        if start % p:
+            for num in nums:
+                ones = num // d
+                total += ones + (first[num % d] > ones % p)
+        else:
+            total += sum(num // d for num in nums)
+    lo, hi = lo // p, hi // p
+    while hi > lo:
+        for start in range(lo + 1, min(hi, lo + p) + 1):
+            if start % p:
+                for num in range(q * start, q * hi + 1, q * p):
+                    total += first[num % d] > num // d % p
+        lo, hi = lo // p, hi // p
     return total
 
 

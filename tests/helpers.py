@@ -1,7 +1,8 @@
 """Shared grids and slow oracles for the test suite.
 
 The oracles here never call the code path they check: floor sums and
-delta sums are term-by-term loops, the triangle and the delta region are
+delta sums are term-by-term loops, column sums of mu run the collapsed
+delta test one column at a time, the triangle and the delta region are
 counted point by point with exact comparisons, digit periods come from
 long-division remainder cycling, digits from `digit` over one period,
 and rationals are reassembled from their p-adic forms.
@@ -43,6 +44,25 @@ def full_grid():
         for r in sorted(set(range(1, 13)) | {p + 1, 2 * p + 1}):
             out.append(TowerParams(p, d, r))
     return out
+
+
+def mu_sum_columnwise(params, lo, hi):
+    """sum_{lo < i <= hi} mu(i), one column at a time: strip the factors of
+    p from each i, then run the collapsed two-digit delta test on it."""
+    p, d = params.p, params.d
+    q = p + 1
+    total = 0
+    for i in range(lo + 1, hi + 1):
+        num = q * i
+        floor_v = ones = num // d
+        if not i % p:
+            j = i // p
+            while not j % p:
+                j //= p
+            num = q * j
+            ones = num // d
+        total += floor_v + (num % d * p // d > ones % p)
+    return total
 
 
 def naive_delta_sum(params, bound):

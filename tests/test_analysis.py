@@ -1,6 +1,8 @@
 """Period/delay measurement, pairing relations, and the sweep."""
 
 import dataclasses
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,3 +178,26 @@ def test_sweep_small_d_has_no_linear_term():
     rows = sweep([(3, d, r) for d in (1, 2) for r in range(1, 9)])
     assert len(rows) == 16
     assert all(row.lam == 0 for row in rows)
+
+
+def test_sweep_refuses_a_build_past_the_budget_before_starting_it():
+    # the cell's own 2L (L = 10000102) is about 2*10^7 entries, past the
+    # default budget, so `minimal_period` refuses it before building anything
+    start = time.perf_counter()
+    [row] = sweep([(5, 4, 5000050)])
+    assert time.perf_counter() - start < 1
+    assert (row.p, row.d, row.r) == (5, 4, 5000050)
+    assert re.search(r"the closed-form build needs \d+ entries", row.error)
+    assert row.minimal_period is None
+
+
+def test_sweep_records_a_pairing_that_changes_the_period():
+    # the partner of r = 4 is r = 36; the period goes from 1 to 2 with
+    # lambda = 1/2 on both sides
+    [row] = sweep([(7, 6, 4)])
+    assert row.error == ""
+    assert row.partner_r == 36
+    assert (row.minimal_period, row.partner_period) == (1, 2)
+    assert row.partner_period_equal is False
+    assert row.lam == Fraction(1, 2) and row.partner_lambda_equal
+    assert row.partner_delay_shift == 1

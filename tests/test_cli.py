@@ -197,6 +197,16 @@ def test_delta_table_d1_all_zero(capsys):
     assert all(row[1] == "0" for row in rows[1:])
 
 
+def test_delta_table_at_a_huge_d_answers_at_once(capsys):
+    # one column at d = HUGE_P - 1 ~ 10^16: nothing of size d is built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "delta-table", "-p", HUGE_P, "-d",
+                       str(int(HUGE_P) - 1), "--i-max", "1", "--format", "csv")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines() == ["i,delta,delta0,delta_tilde", "1,1,1,1"]
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "-p", "5", "-d", "4", "-r", "2",
                        "--n-max", "3")

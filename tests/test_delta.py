@@ -13,11 +13,12 @@ from anum import (
     delta0_average,
     delta_lexicographic,
     delta_tilde,
+    divisors,
     mu,
 )
 from anum.checks import checks
 from anum.delta import mu_sum
-from helpers import delta0_as_sequence, full_grid, pd_grid
+from helpers import delta0_as_sequence, full_grid, mu_sum_columnwise, pd_grid
 
 # indicators over i = 1..19 for p=5, d=4
 DELTA_P5_D4 = (1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0)
@@ -113,6 +114,42 @@ def test_mu_sum_kernel_against_lexicographic_reference():
         assert mu_sum(params, 9, 4) == 0
         with pytest.raises(ValueError):
             mu_sum(params, -1, 2)
+
+
+# a power of p inside each 10^5-column window
+LONG_WINDOW_CENTRE = {5: 5**8, 13: 13**5}
+
+
+def test_mu_sum_residue_walk_against_columnwise_loop():
+    # short windows next to multiples of p (fewer columns than residue
+    # classes, taken in order), windows either side of the 16p columns at
+    # which the class walk starts, windows spanning several powers of p,
+    # and 10^5 columns
+    for p in (3, 5, 7, 13, 61):
+        for d in divisors(p - 1):
+            params = TowerParams(p, d, 1)
+            windows = [(k * p + s, k * p + s + width)
+                       for k in (1, 2, p, p + 1, p**2, p**3)
+                       for s in (-1, 0, 1) for width in range(p)]
+            windows += [(k * p + s, k * p + s + width)
+                        for k in (1, p**2) for s in (-1, 0, 1)
+                        for width in (16 * p - 1, 16 * p, 16 * p + 1)]
+            if p < 61:
+                windows += [(0, 3 * p**3), (p**2 - 1, p**4 + 3)]
+            else:  # those are 6.8e5 and 1.4e7 columns per d: keep the ends
+                windows += [(0, 3 * p**2), (p**3 - 3 * p**2, p**3 + 3 * p),
+                            (p**4 - 3 * p**2, p**4 + 3)]
+            if p in LONG_WINDOW_CENTRE:
+                centre = LONG_WINDOW_CENTRE[p]
+                windows.append((centre - 5 * 10**4, centre + 5 * 10**4))
+            for lo, hi in windows:
+                assert (mu_sum(params, lo, hi)
+                        == mu_sum_columnwise(params, lo, hi)), (p, d, lo, hi)
+    # d past the digit table's limit of 1024 takes the columns in order
+    for d in (515, 1030):
+        params = TowerParams(1031, d, 1)
+        lo, hi = 1031**2 - 8 * 1031, 1031**2 + 8 * 1031 + 3
+        assert mu_sum(params, lo, hi) == mu_sum_columnwise(params, lo, hi)
 
 
 def _assert_law_on_grid(name):
