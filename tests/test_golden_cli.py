@@ -27,6 +27,10 @@ INVOCATIONS = (
     # N_r = 1 and an odd gamma digit period (9): table entries below the
     # delay, and a claimed period of twice the digit period
     ("formula", "-p", "5", "-d", "4", "-r", "46", "--format", "json"),
+    # gamma's numerator is the prime 22125996444329, which divides 5^29 - 1:
+    # the order behind L is taken by trial division near 4.7 * 10^6
+    ("formula", "-p", "5", "-d", "4", "-r", "11062998222163", "--format",
+     "json"),
     *(("delta-table", *pd, "--format", fmt)
       for pd in (("-p", "5", "-d", "4"),
                  ("-p", "13", "-d", "12", "--i-max", "40"))
@@ -66,6 +70,8 @@ GOLDEN = {
         'cad3945d4cf318f49285e91f8a9c69b298f02fbb08daf4c9ff6c8bf3dde6bbaa',
     'formula -p 5 -d 4 -r 46 --format json':
         'c3041c1aa73dfa4451a3c2eb065eee40650167b5d38277767fae9c46b4d69e98',
+    'formula -p 5 -d 4 -r 11062998222163 --format json':
+        'b07b1b5c1d5c298f3aee3af42a585e902493a45af0e63dbe0e5dd6ac0f1d9413',
     'delta-table -p 5 -d 4 --format markdown':
         '226d3c3e8ace66fe798b9d6324bcc34388cf37ab7a62d7c8aa85eda13e3849ea',
     'delta-table -p 5 -d 4 --format csv':
