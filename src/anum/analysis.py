@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .closed_form import (closed_model, lambda_r, minimal_nu_period,
-                          require_build_budget)
+from .closed_form import closed_model, lambda_r, minimal_nu_period
 from .delta import TowerParams
 from .errors import InvariantViolationError
 from .exact_arith import multiplicative_order
@@ -74,9 +73,8 @@ def minimal_period(params: TowerParams) -> PeriodReport:
     The delay is then walked down while the residual one period later, read
     from the split forms below the formula delay and from the table at and
     past it, still agrees.  A build past the default budget is refused
-    before it starts, as `formula` refuses it.
+    by `closed_model` before it starts, as `formula` refuses it.
     """
-    require_build_budget(params)
     model = closed_model(params)
     bound = model.claimed_period
     start = model.delay

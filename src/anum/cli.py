@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  Every error path prints a single line prefixed "error:" to
 stderr.  --budget or ANUM_BUDGET (flag wins) sets the brute-force column
-budget of compute and verify; the closed-form build's 2L window entries,
-the delta0 table and laws, delta-table rows and sweep cells are refused
-past the fixed default.  sweep exits 1 if any cell failed.  Identical
-invocations produce byte-identical output.
+budget of compute and verify; the delta0 table and laws, delta-table rows,
+sweep cells and, in `closed_model` itself, every closed-form build's 2L
+window are refused past the fixed default.  sweep exits 1 if any cell
+failed.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from functools import lru_cache
 
 from .analysis import SWEEP_COLUMNS, sweep
 from .checks import checks
-from .closed_form import (closed_model, evaluate, model_to_dict,
-                          require_build_budget)
+from .closed_form import closed_model, evaluate, model_to_dict
 from .delta import TowerParams, delta, delta0, delta_tilde, require_budget
 from .errors import BudgetExceededError, InvariantViolationError, PreDelayError
 from .exact_arith import divisors, format_rational, is_prime
@@ -186,15 +185,14 @@ def cmd_compute(args) -> int:
     if args.n < 0:
         raise UsageError(f"n must be >= 0, got {args.n}")
     budget = _budget(args)
-    if args.method != "brute":
-        require_build_budget(params)
+    # built first, so a refused build costs no brute force
+    model = None if args.method == "brute" else closed_model(params)
     lines = [f"p={params.p} d={params.d} r={params.r} n={args.n}"]
     brute = closed = None
     if args.method in ("brute", "both"):
         brute = a_number_bruteforce(params, args.n, budget).total
         lines.append(f"brute = {_int_text(brute)}")
-    if args.method in ("closed", "both"):
-        model = closed_model(params)
+    if model is not None:
         if args.n < model.delay:
             if args.method == "closed":
                 raise PreDelayError(
@@ -217,7 +215,6 @@ def cmd_compute(args) -> int:
 
 def cmd_formula(args) -> int:
     params = _make_params(args.p, args.d, args.r)
-    require_build_budget(params)
     data = model_to_dict(closed_model(params))
     period, nu = data["period"], data["nu"]
     if args.format == "json":

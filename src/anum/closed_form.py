@@ -193,8 +193,8 @@ def delta_sum_linear_coeff(x: Fraction, params: TowerParams) -> Fraction:
 
 def lambda_r(params: TowerParams) -> Fraction:
     """Linear coefficient of the full quasi-polynomial (the gamma side's;
-    the tau side's vanishes)."""
-    return delta_sum_linear_coeff(params.gamma, params)
+    the tau side's vanishes), read off the gated build."""
+    return closed_model(params).lam
 
 
 @lru_cache(maxsize=4)  # a build reads two entries (tau and gamma), then none
@@ -224,21 +224,21 @@ def nu_value(params: TowerParams, n: int) -> Fraction:
     """The periodic constant term at n >= 0: R(tau, n) - R(gamma, n)."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    _require_build(params)
     return _nu((_residues(params.tau, params), _residues(params.gamma, params)), n)
 
 
-@lru_cache(maxsize=64)
 def nu_period(params: TowerParams) -> int:
     """L = lcm(L_gamma, 2): the period the build claims for nu and checks
-    over a window of 2L entries.  Cached, so the gate and the build take
-    the order once."""
+    over a window of 2L entries.  L_gamma is the cached order of p modulo
+    gamma's numerator, which the slopes and the pairing partner share."""
     return math.lcm(multiplicative_order(params.p, params.gamma_num), 2)
 
 
-def require_build_budget(params: TowerParams) -> None:
-    """Refuse a build whose 2L window entries exceed the default budget,
-    before any is evaluated.  The delta0 table is refused first: past it,
-    the order behind L may be out of reach of trial division."""
+def _require_build(params: TowerParams) -> None:
+    """Refuse a build of more than the default budget of 2L window entries,
+    before `closed_model` or `nu_value` reads a table.  The delta0 table is
+    refused first: past it, the order behind L may be beyond trial division."""
     delta0_average(params)
     require_budget(2 * nu_period(params), None, "the closed-form build",
                    "entries")
@@ -270,7 +270,8 @@ class ClosedFormModel:
 
 @lru_cache(maxsize=64)
 def closed_model(params: TowerParams) -> ClosedFormModel:
-    """Build and self-check the closed form for one parameter set.
+    """Build and self-check the closed form for one parameter set, once
+    `_require_build` has admitted it.
 
     The quadratic coefficient is rendered two independent ways (from the
     slopes and from the single reduced fraction in p, d, r) to catch
@@ -279,13 +280,14 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     its first period; the value is then checked integral and non-negative
     at every n of the window, in integers over the common denominator D.
     """
+    _require_build(params)
     p, d, r = params.p, params.d, params.r
     quad = (1 / params.tau - 1 / params.gamma) / 2
     wired = Fraction(d * r * (p - 1), 2 * (p + 1) * ((p - 1) * r + p + 1))
     if quad != wired:
         raise InvariantViolationError(
             f"quadratic coefficient mismatch: {quad} vs {wired}")
-    lam = lambda_r(params)
+    lam = delta_sum_linear_coeff(params.gamma, params)
     delay = params.gamma_vp
     period = nu_period(params)
     tables = _residues(params.tau, params), _residues(params.gamma, params)

@@ -84,12 +84,14 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=1024)
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a in (Z/mZ)^*.  The trivial group (m = 1) gives 1.
 
     The order divides phi(m): start from phi(m) and divide out each prime
     q of it while a still has order dividing the quotient.  Cost is two
-    trial-division factorisations plus O(log^2 m) modular powers.
+    trial-division factorisations plus O(log^2 m) modular powers, paid
+    once per (a, m).
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import anum.analysis
+import anum.closed_form
+import anum.exact_arith
 from anum import (
     InvariantViolationError,
     PairingRecord,
@@ -182,13 +184,32 @@ def test_sweep_small_d_has_no_linear_term():
 
 def test_sweep_refuses_a_build_past_the_budget_before_starting_it():
     # the cell's own 2L (L = 10000102) is about 2*10^7 entries, past the
-    # default budget, so `minimal_period` refuses it before building anything
+    # default budget, so `closed_model` refuses it before building anything
     start = time.perf_counter()
     [row] = sweep([(5, 4, 5000050)])
     assert time.perf_counter() - start < 1
     assert (row.p, row.d, row.r) == (5, 4, 5000050)
     assert re.search(r"the closed-form build needs \d+ entries", row.error)
     assert row.minimal_period is None
+
+
+def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
+    # gamma's numerator at (5, 4, 11062998222163) is the prime
+    # 22125996444329 (L = 58); the gate, both slopes, the L_gamma_inv
+    # column and the partner, which has the same numerator, share one order
+    for cached in (anum.exact_arith.multiplicative_order,
+                   anum.closed_form.closed_model, anum.closed_form._residues,
+                   anum.closed_form._exponent_seq,
+                   anum.closed_form.delta_sum_linear_coeff):
+        cached.cache_clear()
+    factored = []
+    factor = anum.exact_arith._factor
+    monkeypatch.setattr(anum.exact_arith, "_factor",
+                        lambda n: factored.append(n) or factor(n))
+    [row] = sweep([(5, 4, 11062998222163)])
+    assert row.error == ""
+    assert (row.gamma_period, row.lcm_bound) == (29, 58)
+    assert factored.count(22125996444329) == 1
 
 
 def test_sweep_records_a_pairing_that_changes_the_period():

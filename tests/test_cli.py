@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from anum import (
     closed_model,
     evaluate,
 )
+from anum.checks import checks
 from anum.cli import main
 
 DELTA_TABLE_P5_D4 = {
@@ -351,6 +353,14 @@ def test_closed_form_build_is_refused_before_it_starts(capsys, monkeypatch):
         start = time.perf_counter()
         assert run_fresh(*argv, timeout=20) == (3, "", BUILD_REFUSAL)
         assert time.perf_counter() - start < 2
+    # verify passes its seven laws, then refuses the build of its first
+    # agreement check
+    start = time.perf_counter()
+    laws = "".join(f"ok {name}\n" for name, _ in itertools.islice(
+        checks(TowerParams(5, 4, 5000050), 1, None), 7))
+    assert run_fresh("verify", *cell, "--n-max", "1", timeout=20) == (
+        3, laws, BUILD_REFUSAL)
+    assert time.perf_counter() - start < 2
     # the build is held to the default: --budget and ANUM_BUDGET size
     # brute force alone, and formula has no --budget
     monkeypatch.setenv("ANUM_BUDGET", "0")
@@ -555,14 +565,16 @@ REFUSAL = re.compile(r"^error: .+ needs (\d+|more than 10\^\d+) "
     ("sweep", "--p-list", "5", "--r-max", "100000000"),
     ("sweep", "--p-list", "5", "--r-max", "100000000", "--out", OUT),
     ("formula", "-p", "5", "-d", "4", "-r", "5000050"),
+    ("verify", "-p", "5", "-d", "4", "-r", "5000050", "--n-max", "1"),
 ])
 def test_every_refusal_is_one_budget_line(tmp_path, argv):
     argv = [str(tmp_path / "grid.csv") if a is OUT else a for a in argv]
     code, out, err = run_fresh(*argv, timeout=20)
     assert code == 3
     assert len(err.splitlines()) == 1 and REFUSAL.match(err.rstrip("\n")), err
-    # verify prints the three laws that pass before the refusal
-    expected = 3 if argv[0] == "verify" else 0
+    # verify prints the laws that pass before the refusal: three before the
+    # delta0 laws, all seven before a closed-form build
+    expected = 0 if argv[0] != "verify" else 7 if "5000050" in argv else 3
     assert [line[:3] for line in out.splitlines()] == ["ok "] * expected
     assert os.listdir(tmp_path) == []
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -431,6 +435,29 @@ def test_huge_p_build_is_refused_before_any_order_is_taken(monkeypatch):
     monkeypatch.setattr(anum.closed_form, "multiplicative_order", unreachable)
     with pytest.raises(BudgetExceededError, match="delta0 table"):
         closed_model.__wrapped__(TowerParams(10**16 + 61, 2, 100042))
+
+
+@pytest.mark.parametrize("call", ("closed_model(cell)", "lambda_r(cell)",
+                                  "check_pairing(cell)", "nu_value(cell, 0)"))
+def test_every_library_path_to_a_build_is_gated(call):
+    # L = 10000102 at (5, 4, 5000050): each public reader of the residue
+    # tables is refused before it evaluates any; a fresh process turns a
+    # hang into a timeout instead of stalling the suite
+    script = ("import anum\n"
+              "cell = anum.TowerParams(5, 4, 5000050)\n"
+              "try:\n"
+              f"    anum.{call}\n"
+              "except anum.BudgetExceededError as exc:\n"
+              "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anum.__file__)))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True,
+                          check=False, timeout=20)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "the closed-form build needs 20000204 entries, budget is 10000000\n",
+        "")
 
 
 @pytest.fixture
