@@ -11,8 +11,12 @@ and rationals are reassembled from their p-adic forms.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import anum
 from anum import (
     A_fn,
     ClosedFormModel,
@@ -29,6 +33,17 @@ from anum import (
     mu,
     t_n,
 )
+
+
+def run_python(*args, timeout):
+    """(exit code, stdout, stderr) of `python *args` with anum's sources on
+    the path, in a fresh process, so that a hang fails the test at `timeout`
+    seconds instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anum.__file__)))
+    done = subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True,
+                          check=False, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
 
 
 def pd_grid():

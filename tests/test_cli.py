@@ -25,6 +25,7 @@ from anum import (
 )
 from anum.checks import checks
 from anum.cli import main
+from helpers import run_python
 
 DELTA_TABLE_P5_D4 = {
     "delta": [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0],
@@ -515,13 +516,8 @@ HUGE_P = "10000000000000061"  # p - 1 = 2^2 * 5 * 53 * 349 * 27031410499
 
 
 def run_fresh(*argv, timeout):
-    """Run the CLI in a fresh process, so that a hang fails the test at
-    `timeout` seconds instead of stalling the suite."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(anum.cli.__file__)))
-    done = subprocess.run([sys.executable, "-m", "anum.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, check=False, timeout=timeout)
-    return done.returncode, done.stdout, done.stderr
+    """Run the CLI in a fresh process (see `run_python`)."""
+    return run_python("-m", "anum.cli", *argv, timeout=timeout)
 
 
 def test_large_prime_brute_force_is_prompt():

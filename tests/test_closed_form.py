@@ -2,9 +2,6 @@
 
 import dataclasses
 import importlib
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -42,6 +39,7 @@ from helpers import (
     naive_delta_sum,
     naive_floor_sum,
     pd_grid,
+    run_python,
     special_d12,
     special_r_eq_p_plus_1,
 )
@@ -449,15 +447,11 @@ def test_every_library_path_to_a_build_is_gated(call):
               f"    anum.{call}\n"
               "except anum.BudgetExceededError as exc:\n"
               "    print(exc)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(anum.__file__)))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=src), text=True,
-                          check=False, timeout=20)
-    assert time.perf_counter() - start < 2
-    assert (done.returncode, done.stdout, done.stderr) == (
+    assert run_python("-c", script, timeout=20) == (
         0, "the closed-form build needs 20000204 entries, budget is 10000000\n",
         "")
+    assert time.perf_counter() - start < 2
 
 
 @pytest.fixture
