@@ -10,8 +10,9 @@ arithmetic plus `delta_lexicographic`, `delta0_average` with the direct
 sum of delta0 over one period, and the closed form with brute force.
 
 The split forms share no code with the closed form.  The one table they
-read, `delta0_prefix`, is the running sum of delta0 over one period, and
-the shift, reflection and average laws check delta0 on that period.
+read, `delta0_prefix`, is the running sum of delta0 over one period, built
+by its own pass of the collapsed test; the shift, reflection and average
+laws check delta0 on that period.
 """
 
 from __future__ import annotations

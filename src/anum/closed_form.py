@@ -22,9 +22,12 @@ P0(M mod tau_den p) - <delta0> (M mod tau_den p) gives
 
 with g eventually periodic in e.  Its average is the linear coefficient
 c = <g>, and the residue B(1/x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x)
-- c n is the primitive: it forms no p^n.  The sums are checked against
-term-by-term sums (`test_delta_sum_closed_matches_naive_on_grid`), against
-the O(n) split forms over two periods past the delay
+- c n is the primitive: it forms no p^n.  `_exponent_seq` keeps g for
+`delta_sum_closed`, `delta_sum_residue` and `delta_sum_linear_coeff`, which
+the checks and the oracles read; a build forms g itself (below).  The sums
+are checked against term-by-term sums
+(`test_delta_sum_closed_matches_naive_on_grid`), against the O(n) split
+forms over two periods past the delay
 (`test_closed_sums_certified_by_split_form_oracle`) and through the model
 up to n = 50 (acceptance criterion 11); each slope's residue table checks
 B's periodicity again.
@@ -40,14 +43,17 @@ periodic from n = v_p(x) with the digit period L_x of 1/x.  So nu is
 periodic for n >= v_p(gamma) with period dividing lcm(L_gamma, 2).  Below
 that delay the closed form is genuinely wrong and `evaluate` refuses; use
 the brute-force counter there.  Each slope has one residue table
-(`_residues`): v + 2 L_x evaluations, the second period checked against
-the first, the head plus one cycle kept.  For tau, p = -1 modulo its
-numerator, so v = 0 and L_tau divides 2: at most 4 evaluations.  A build
-reads the two tables once and indexes its 2L nu window in them, through
-the reader `nu_value` also uses.  The value is checked, and `evaluate`
-computed, over the common denominator D of quad, lam and the nu table:
-D * value is an integer expression in which p^{2n} only multiplies an
-integer and advances by one multiplication by p^2 per step.
+(`_residues`), built in one pass over e < v + 2 L_x: g(e), its running
+sum, its average c and R, the second period checked against the first,
+the head plus one cycle kept with c.  lam is the gamma table's c.  The
+tables are keyed by (x, p, d): tau depends on (p, d) alone, so every r
+reads one tau table, and p = -1 modulo its numerator gives v = 0 and
+L_tau | 2, at most 4 evaluations.  A build reads the two tables once and
+indexes its 2L nu window in them, through the reader `nu_value` also
+uses.  The value is checked over the common denominator D of quad, lam
+and the nu table, where D * value is an integer expression: directly at
+the delay, then by the recurrence D v(n+1) = p^2 D v(n) + E(n) with E(n)
+a small integer (`_check_window`); `evaluate` computes D * value directly.
 """
 
 from __future__ import annotations
@@ -197,26 +203,46 @@ def lambda_r(params: TowerParams) -> Fraction:
     return closed_model(params).lam
 
 
-@lru_cache(maxsize=4)  # a build reads two entries (tau and gamma), then none
-def _residues(x: Fraction, params: TowerParams) -> tuple[int, tuple[Fraction, ...]]:
-    """(v, table): R(n) = A(1/x, n) - B(x, n) for n < v + L, with v = v_p(x)
-    and L the digit period of 1/x, after checking R(n + L) = R(n) over the
-    second period."""
-    form = p_adic_decompose(x, params.p)
-    v, period = form.v, multiplicative_order(params.p, form.num)
-    r = [A_fn(1 / x, params.p, n) - delta_sum_residue(x, params, n)
-         for n in range(v + 2 * period)]
+@lru_cache(maxsize=4)
+def _residues(x: Fraction, p: int,
+              d: int) -> tuple[Fraction, int, tuple[Fraction, ...]]:
+    """(c, v, table) for the slope x of (p, d): c = <g> is the linear
+    coefficient of its delta sum, and the table holds R(n) = A(1/x, n) -
+    B(x, n) for n < v + L, with v = v_p(x) and L the digit period of 1/x,
+    after checking R(n + L) = R(n) over the second period.
+
+    One pass over e < v + 2L forms g(e) = F(1/x, e) - <delta0> {p^e/x},
+    reads c off one cycle of it (from e = v + 1) and B as its running sum
+    less <delta0>/((p-1) x) and c n.  The key is (x, p, d) and never r: tau
+    is a function of (p, d), so every r and every partner reads one tau
+    table, while a gamma table is read by its own build and `nu_value`."""
+    params = TowerParams(p, d, 1)  # the delta side reads p and d alone
+    form = p_adic_decompose(x, p)
+    v, period = form.v, multiplicative_order(p, form.num)
+    x_inv, avg = 1 / x, delta0_average(params)
+    g = [F_fn(x_inv, params, e) - avg * frac_part_pn(x_inv, p, e)
+         for e in range(v + 2 * period)]
+    c = sum(g[v + 1:v + 1 + period]) / period
+    base = avg / ((p - 1) * x)
+    r = [A_fn(x_inv, p, n) - (total - base - c * n)
+         for n, total in enumerate(accumulate(g))]
     if r[v + period:] != r[v:v + period]:
         raise InvariantViolationError(
             f"residue of slope {x} not periodic with period {period} from n={v}")
-    return v, tuple(r[:v + period])
+    return c, v, tuple(r[:v + period])
+
+
+def _tables(params: TowerParams):
+    """The (c, v, table) triples of tau and gamma."""
+    return (_residues(params.tau, params.p, params.d),
+            _residues(params.gamma, params.p, params.d))
 
 
 def _nu(tables, n: int) -> Fraction:
-    """R(tau, n) - R(gamma, n), indexed in the two slopes' (v, table) pairs:
-    the one reader of `nu_value` and of the build's window."""
+    """R(tau, n) - R(gamma, n), indexed in the two slopes' (c, v, table)
+    triples: the one reader of `nu_value` and of the build's window."""
     tau, gamma = (table[n if n < len(table) else v + (n - v) % (len(table) - v)]
-                  for v, table in tables)
+                  for _, v, table in tables)
     return tau - gamma
 
 
@@ -225,7 +251,7 @@ def nu_value(params: TowerParams, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     _require_build(params)
-    return _nu((_residues(params.tau, params), _residues(params.gamma, params)), n)
+    return _nu(_tables(params), n)
 
 
 def nu_period(params: TowerParams) -> int:
@@ -279,6 +305,7 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     the delay is indexed in the two slopes' residue tables and must repeat
     its first period; the value is then checked integral and non-negative
     at every n of the window, in integers over the common denominator D.
+    lam is read from the gamma table.
     """
     _require_build(params)
     p, d, r = params.p, params.d, params.r
@@ -287,10 +314,10 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     if quad != wired:
         raise InvariantViolationError(
             f"quadratic coefficient mismatch: {quad} vs {wired}")
-    lam = delta_sum_linear_coeff(params.gamma, params)
+    tables = _tables(params)
+    lam = tables[1][0]
     delay = params.gamma_vp
     period = nu_period(params)
-    tables = _residues(params.tau, params), _residues(params.gamma, params)
     window = [_nu(tables, n) for n in range(delay, delay + 2 * period)]
     if window[:period] != window[period:]:
         raise InvariantViolationError(
@@ -299,7 +326,7 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
         params=params, quad_coeff=quad, lam=lam, delay=delay,
         claimed_period=period,
         nu_table=tuple(window[(j - delay) % period] for j in range(period)))
-    _checked_value(model, delay, delay + 2 * period)
+    _check_window(model, delay, delay + 2 * period)
     return model
 
 
@@ -312,25 +339,44 @@ def _value_text(num: int, den: int) -> str:
     return f"{'-' if num < 0 else ''}({_count_text(size)})"
 
 
-def _checked_value(model: ClosedFormModel, lo: int, hi: int) -> int:
-    """The closed form at n = hi - 1, after checking that it is integral and
-    non-negative at every n in [lo, hi).  It runs over D times the value,
-    D the common denominator, so p^(2n) only multiplies an integer and
-    advances by one multiplication by p^2 per step."""
-    den, table = model._den, model.nu_table
-    quad, lam = (v.numerator * (den // v.denominator)
-                 for v in (model.quad_coeff, model.lam))
-    step = model.params.p ** 2
-    power = step ** lo
-    for n in range(lo, hi):
-        nu = table[n % model.claimed_period]
-        num = quad * power + lam * n + nu.numerator * (den // nu.denominator)
-        if num % den or num < 0:
-            raise InvariantViolationError(
-                f"closed form gave non-integral or negative value "
-                f"{_value_text(num, den)} at n={n}")
-        power *= step
+def _checked_value(model: ClosedFormModel, n: int) -> int:
+    """The closed form at n, after checking that it is integral and
+    non-negative.  It runs over D times the value, D the common
+    denominator, so p^(2n) only multiplies an integer."""
+    den = model._den
+    quad, lam, nu = (v.numerator * (den // v.denominator) for v in (
+        model.quad_coeff, model.lam, model.nu_table[n % model.claimed_period]))
+    num = quad * model.params.p ** (2 * n) + lam * n + nu
+    if num % den or num < 0:
+        raise InvariantViolationError(
+            f"closed form gave non-integral or negative value "
+            f"{_value_text(num, den)} at n={n}")
     return num // den
+
+
+def _check_window(model: ClosedFormModel, lo: int, hi: int) -> None:
+    """Check the value integral and non-negative at every n in [lo, hi)
+    with no p^(2n) past n = lo.  With V = D * value, V(n+1) = p^2 V(n) +
+    E(n), E(n) = Lam (n+1) + N(n+1) - p^2 (Lam n + N(n)), Lam = D lam and
+    N = D nu small integers.  One direct check at lo, then D | E(n) at each
+    step, proves integrality.  V is tracked exactly until (p^2-1) V >=
+    max|E|; from there V(n+1) >= V(n), so it can no longer turn negative.
+    A step that fails is re-checked directly, which raises with its value."""
+    den, step = model._den, model.params.p ** 2
+    lam = model.lam.numerator * (den // model.lam.denominator)
+    nu = [v.numerator * (den // v.denominator) for v in model.nu_table]
+    period = model.claimed_period
+    scaled = [lam * n + nu[n % period] for n in range(lo, hi)]
+    moves = [b - step * a for a, b in zip(scaled, scaled[1:])]
+    ceiling = max(map(abs, moves), default=0)
+    value = _checked_value(model, lo) * den
+    for n, move in enumerate(moves, lo + 1):
+        if value is not None:
+            value = step * value + move
+            if (step - 1) * value >= ceiling:
+                value = None
+        if move % den or (value is not None and value < 0):
+            _checked_value(model, n)
 
 
 def evaluate(model: ClosedFormModel, n: int) -> int:
@@ -344,7 +390,7 @@ def evaluate(model: ClosedFormModel, n: int) -> int:
         raise PreDelayError(
             f"closed form is not valid for n={n} < delay {model.delay}; "
             f"use the brute-force counter instead")
-    return _checked_value(model, n, n + 1)
+    return _checked_value(model, n)
 
 
 def minimal_nu_period(model: ClosedFormModel) -> int:

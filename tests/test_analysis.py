@@ -1,6 +1,7 @@
 """Period/delay measurement, pairing relations, and the sweep."""
 
 import dataclasses
+import importlib
 import re
 import time
 from fractions import Fraction
@@ -19,6 +20,8 @@ from anum import (
     minimal_period,
     sweep,
 )
+
+DELTA = importlib.import_module("anum.delta")  # anum.delta is the function
 
 
 def test_minimal_period_p5_d4_r2():
@@ -210,6 +213,40 @@ def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
     assert row.error == ""
     assert (row.gamma_period, row.lcm_bound) == (29, 58)
     assert factored.count(22125996444329) == 1
+
+
+def clear_build_caches():
+    """Empty every cache a model build reads or fills."""
+    for cached in (anum.exact_arith.multiplicative_order, DELTA._delta0_prefix,
+                   anum.delta0_average, anum.closed_form.closed_model,
+                   anum.closed_form._residues, anum.closed_form._exponent_seq,
+                   anum.closed_form.delta_sum_linear_coeff):
+        cached.cache_clear()
+
+
+def test_a_cold_sweep_builds_the_delta0_and_tau_tables_once(monkeypatch):
+    # 20 cells and their partners at (13, 12) share one delta0 table and one
+    # tau table: L_tau = 2 there, so one tau table is 4 evaluations of A
+    cells = [(13, 12, r) for r in range(1, 21)]
+    alone = []
+    for cell in cells:
+        clear_build_caches()
+        alone += sweep([cell])
+    clear_build_caches()
+    tau_inv, tau_calls = 1 / TowerParams(13, 12, 1).tau, []
+    A_fn = anum.closed_form.A_fn
+
+    def counted_A(x_inv, p, n):
+        if x_inv == tau_inv:
+            tau_calls.append(n)
+        return A_fn(x_inv, p, n)
+
+    monkeypatch.setattr(anum.closed_form, "A_fn", counted_A)
+    rows = sweep(cells)
+    assert DELTA._delta0_prefix.cache_info().misses == 1
+    assert tau_calls == [0, 1, 2, 3]
+    assert rows == alone
+    assert all(row.error == "" for row in rows)
 
 
 def test_sweep_records_a_pairing_that_changes_the_period():

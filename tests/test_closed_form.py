@@ -423,6 +423,18 @@ def test_closed_model_self_checks_raise(monkeypatch):
     assert build(P5D4R2) == model
 
 
+def test_window_check_finds_a_value_that_turns_negative_past_the_delay(
+        monkeypatch):
+    # nu off by -10^9 at n = 2 mod 6 only: periodic and integral, and the
+    # value is non-negative at n = 0 and 1, so only the running bound,
+    # kept exact while the value is below max|E|/(p^2 - 1), sees it
+    read = anum.closed_form._nu
+    monkeypatch.setattr(anum.closed_form, "_nu", lambda tables, n: (
+        read(tables, n) - 10**9 * (n % 6 == 2)))
+    with pytest.raises(InvariantViolationError, match="negative value -.* at n=2$"):
+        closed_model.__wrapped__(P5D4R2)
+
+
 def test_huge_p_build_is_refused_before_any_order_is_taken(monkeypatch):
     # gamma_num at r = 100042 is the prime 500215000000003001291: taking the
     # order of p modulo it by trial division would stall, so the delta0
@@ -464,10 +476,12 @@ def fresh_residues():
 
 def test_residue_tables_match_direct_evaluation(fresh_residues):
     # each slope is read alone through the shared reader, against a table
-    # that reads 0 at every n
-    read, zero = anum.closed_form._nu, (0, (Fraction(0),))
+    # that reads 0 at every n; its slope c is the exponent sequence's average
+    read, zero = anum.closed_form._nu, (0, 0, (Fraction(0),))
     for params in full_grid():
-        tau, gamma = (fresh_residues(x, params) for x in (params.tau, params.gamma))
+        tau, gamma = (fresh_residues(x, params.p, params.d)
+                      for x in (params.tau, params.gamma))
+        assert (tau[0], gamma[0]) == (0, delta_sum_linear_coeff(params.gamma, params))
         for n in range(51):
             r_tau, r_gamma = (A_fn(1 / x, params.p, n)
                               - delta_sum_residue(x, params, n)
@@ -477,6 +491,11 @@ def test_residue_tables_match_direct_evaluation(fresh_residues):
             assert anum.closed_form.nu_value(params, n) == r_tau - r_gamma
     with pytest.raises(ValueError, match="non-negative"):
         anum.closed_form.nu_value(P5D4R2, -1)
+
+
+def test_lambda_is_read_from_the_gamma_table():
+    for params in full_grid():
+        assert closed_model(params).lam == delta_sum_linear_coeff(params.gamma, params)
 
 
 def plant_half(monkeypatch, x_inv, planted):
@@ -503,33 +522,33 @@ def test_planted_residue_faults_raise(monkeypatch, fresh_residues):
 
 
 def count_residue_calls(monkeypatch, params):
-    """Build params afresh and count A_fn and delta_sum_residue calls per slope."""
-    calls = {"A tau": 0, "A gamma": 0, "B tau": 0, "B gamma": 0}
+    """Build params afresh and count A_fn and F_fn calls per slope."""
+    calls = {"A tau": 0, "A gamma": 0, "F tau": 0, "F gamma": 0}
 
-    def counted_A(x_inv, p, n):
-        calls["A tau" if x_inv == 1 / params.tau else "A gamma"] += 1
-        return A_fn(x_inv, p, n)
-
-    def counted_B(x, prm, n):
-        calls["B tau" if x == params.tau else "B gamma"] += 1
-        return delta_sum_residue(x, prm, n)
+    def counted(name, fn):
+        def call(x_inv, *args):
+            calls[f"{name} {'tau' if x_inv == 1 / params.tau else 'gamma'}"] += 1
+            return fn(x_inv, *args)
+        return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(anum.closed_form, "A_fn", counted_A)
-        patch.setattr(anum.closed_form, "delta_sum_residue", counted_B)
+        patch.setattr(anum.closed_form, "A_fn", counted("A", A_fn))
+        patch.setattr(anum.closed_form, "F_fn", counted("F", F_fn))
         model = closed_model.__wrapped__(params)
     return model, calls
 
 
 def test_build_evaluates_each_residue_table_once(monkeypatch, fresh_residues):
     # v + 2 L_gamma evaluations on gamma: (31, 30, 100) has v = 0 and
-    # L_gamma = 378; (5, 4, 46) has v = 1 and L_gamma = 9 (claimed period 18)
-    for cell, period, gamma_calls in (((31, 30, 100), 378, 756),
-                                      ((5, 4, 46), 18, 19)):
+    # L_gamma = 378; (5, 4, 46) has v = 1 and L_gamma = 9 (claimed period 18).
+    # The tau table depends on (p, d) alone: a second r there evaluates none
+    for cell, period, gamma_calls, tau_calls in (((31, 30, 100), 378, 756, 4),
+                                                 ((31, 30, 7), 110, 110, 0),
+                                                 ((5, 4, 46), 18, 19, 4)):
         model, calls = count_residue_calls(monkeypatch, TowerParams(*cell))
         assert model.claimed_period == period
-        assert calls["A tau"] <= 4 and calls["B tau"] <= 4, calls
-        assert calls["A gamma"] == calls["B gamma"] == gamma_calls, calls
+        assert calls["A tau"] == calls["F tau"] == tau_calls, calls
+        assert calls["A gamma"] == calls["F gamma"] == gamma_calls, calls
 
 
 def test_build_reads_each_residue_table_once(monkeypatch, fresh_residues):

@@ -2,6 +2,7 @@
 
 import importlib
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -204,6 +205,18 @@ def test_delta0_average():
     assert delta0_average(P5D4) == Fraction(1, 5)
     assert delta0_average(TowerParams(7, 1, 1)) == 0
     assert delta0_average(TowerParams(13, 4, 1)) == Fraction(3, 13)
+
+
+def test_delta0_table_is_the_running_sum_of_delta0():
+    # the one-pass table against delta0 one index at a time; p = 1031 runs
+    # 530965 entries for an odd tau_den (d = 515) and an even d (d = 1030)
+    cells = [(p, d) for p in (3, 5, 7, 13, 61) for d in divisors(p - 1)]
+    for p, d in cells + [(1031, 515), (1031, 1030)]:
+        params = TowerParams(p, d, 1)
+        block = params.tau_den * p
+        assert params.delta0_prefix == tuple(accumulate(
+            (delta0(params, i) for i in range(1, block + 1)), initial=0)), (p, d)
+        assert TowerParams(p, d, 9).delta0_prefix is params.delta0_prefix
 
 
 def test_delta0_table_is_refused_past_the_budget(monkeypatch):
