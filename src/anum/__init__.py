@@ -22,7 +22,6 @@ from .closed_form import (
     closed_model,
     delta_sum_closed,
     delta_sum_linear_coeff,
-    delta_sum_residue,
     evaluate,
     floor_sum_closed,
     lambda_r,
@@ -91,7 +90,6 @@ __all__ = [
     "delta_lexicographic",
     "delta_sum_closed",
     "delta_sum_linear_coeff",
-    "delta_sum_residue",
     "delta_tilde",
     "digit",
     "divisors",

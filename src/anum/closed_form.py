@@ -20,17 +20,12 @@ P0(M mod tau_den p) - <delta0> (M mod tau_den p) gives
     S_delta(x, n) = <delta0> (p^{n+1} - 1) / ((p-1) x) + sum_{e<=n} g(e),
     g(e) = F(1/x, e) - <delta0> {p^e/x},
 
-with g eventually periodic in e.  Its average is the linear coefficient
-c = <g>, and the residue B(1/x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x)
-- c n is the primitive: it forms no p^n.  `_exponent_seq` keeps g for
-`delta_sum_closed`, `delta_sum_residue` and `delta_sum_linear_coeff`, which
-the checks and the oracles read; a build forms g itself (below).  The sums
-are checked against term-by-term sums
-(`test_delta_sum_closed_matches_naive_on_grid`), against the O(n) split
-forms over two periods past the delay
-(`test_closed_sums_certified_by_split_form_oracle`) and through the model
-up to n = 50 (acceptance criterion 11); each slope's residue table checks
-B's periodicity again.
+with g eventually periodic in e.  g is formed only in `_residues`, which
+takes its average c = <g> as the linear coefficient and B(x, n) =
+sum_{e<=n} g(e) - <delta0>/((p-1) x) - c n as the residue, and
+`test_residue_tables_match_direct_evaluation` certifies both against
+`floor_sum_closed` and `delta_sum_closed`, the split forms of the two sums,
+which read none of A, F and g.
 
 On the tau side the linear coefficient vanishes identically, so the count
 
@@ -43,14 +38,10 @@ periodic from n = v_p(x) with the digit period L_x of 1/x.  So nu is
 periodic for n >= v_p(gamma) with period dividing lcm(L_gamma, 2).  Below
 that delay the closed form is genuinely wrong and `evaluate` refuses; use
 the brute-force counter there.  Each slope has one residue table
-(`_residues`), built in one pass over e < v + 2 L_x: g(e), its running
-sum, its average c and R, the second period checked against the first,
-the head plus one cycle kept with c.  lam is the gamma table's c.  The
-tables are keyed by (x, p, d): tau depends on (p, d) alone, so every r
-reads one tau table, and p = -1 modulo its numerator gives v = 0 and
-L_tau | 2, at most 4 evaluations.  A build reads the two tables once and
-indexes its 2L nu window in them, through the reader `nu_value` also
-uses.  The value is checked over the common denominator D of quad, lam
+(`_residues`), keyed by (x, p, d), so every r reads one tau table (v = 0,
+L_tau | 2); lam is the gamma table's c.  A build reads the two tables
+once and indexes its 2L nu window in them, through the reader `nu_value`
+also uses.  The value is checked over the common denominator D of quad, lam
 and the nu table, where D * value is an integer expression: directly at
 the delay, then by the recurrence D v(n+1) = p^2 D v(n) + E(n) with E(n)
 a small integer (`_check_window`); `evaluate` computes D * value directly.
@@ -75,7 +66,7 @@ from .exact_arith import (
     multiplicative_order,
     p_adic_decompose,
 )
-from .periodic_sum import EventuallyPeriodicSeq, prefix_sum
+from .lattice import _delta_prefix, _floor_sum
 
 
 def A_fn(x_inv: Fraction, p: int, n: int) -> Fraction:
@@ -110,21 +101,18 @@ def _centred_frac_sums(x: Fraction) -> tuple[Fraction, ...]:
                             initial=Fraction(0)))
 
 
-def floor_sum_closed(x: Fraction | int, p: int, n: int) -> Fraction:
-    """sum_{i=1}^{floor(p^n/x)} (p^n - floor(x*i)) via the closed form.
-
-    Requires v_p(x) >= 0 (true for both tau and gamma).
-    """
+def floor_sum_closed(x: Fraction | int, p: int, n: int) -> int:
+    """sum_{i=1}^{M} (p^n - floor(x*i)), M = floor(p^n/x), as the split
+    form M p^n - sum_{i<=M} floor(x*i), one Euclid-like floor sum.
+    Requires v_p(x) >= 0 (true for both tau and gamma)."""
     x = Fraction(x)
     if x.denominator % p == 0:
         raise ValueError(f"x must have non-negative p-adic valuation, got {x}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    x_inv = 1 / x
     pn = p**n
-    lead = (x_inv * pn * pn / 2
-            + (x_inv * (1 - Fraction(1, x.denominator)) - 1) * pn / 2)
-    return lead + A_fn(x_inv, p, n)
+    last = pn * x.denominator // x.numerator
+    return last * pn - _floor_sum(last + 1, x.denominator, x.numerator, 0)
 
 
 def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
@@ -141,60 +129,35 @@ def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
     return params.delta0_prefix[m] - m * delta0_average(params)
 
 
-@lru_cache(maxsize=4)  # a build reads two entries (tau and gamma), then none
-def _exponent_seq(x: Fraction, params: TowerParams) -> EventuallyPeriodicSeq:
-    """g(e) = F(1/x, e) - <delta0> {p^e/x} as an eventually periodic
-    sequence over the exponent e shifted to 1-based indexing.
-
-    Requires x >= 1 with denominator tau_den (both tau and gamma qualify),
-    so v_p(x) >= 0; this is the one place the delta side checks x.
-    """
+def _delta_slope(x: Fraction | int, params: TowerParams) -> Fraction:
+    """x as a Fraction, once checked x >= 1 with denominator tau_den (tau
+    and gamma qualify), so v_p(x) >= 0: the delta side's domain."""
+    x = Fraction(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x.denominator != params.tau_den:
         raise ValueError(f"denominator of x must equal {params.tau_den}, "
                          f"got {x.denominator}")
-    p = params.p
-    form = p_adic_decompose(x, p)
-    x_inv, avg = 1 / x, delta0_average(params)
-    # {p^e/x} repeats from e = v, the mod-p part of floor(p^e/x) one later
-    terms = tuple(F_fn(x_inv, params, e) - avg * frac_part_pn(x_inv, p, e)
-                  for e in range(form.v + 1 + multiplicative_order(p, form.num)))
-    return EventuallyPeriodicSeq(head=terms[:form.v + 1],
-                                 cycle=terms[form.v + 1:])
+    return x
 
 
-def delta_sum_residue(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
-    """B(1/x, n): the delta sum minus its p^n and linear parts, from the
-    exponent sequence alone.  Periodic for n >= the delay of 1/x with its
-    digit period; O(1) once the sequence for x is built."""
+def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> int:
+    """sum_{i=1}^{M} delta(i), M = floor(p^n/x), as the split form
+    P0(M) + P0(M//p) + P0(M//p^2) + ..., in O(n) steps."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    x = Fraction(x)
-    return (prefix_sum(_exponent_seq(x, params), n + 1)
-            - delta0_average(params) / ((params.p - 1) * x)
-            - delta_sum_linear_coeff(x, params) * n)
-
-
-def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> Fraction:
-    """sum_{i=1}^{floor(p^n/x)} delta(i) as the geometric term plus the
-    prefix sum of g, for x >= 1 with denominator tau_den (tau and gamma
-    qualify).  Exact for every n >= 0; O(1) once g is built."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    x, p = Fraction(x), params.p
-    return (delta0_average(params) * (p**(n + 1) - 1) / ((p - 1) * x)
-            + prefix_sum(_exponent_seq(x, params), n + 1))
+    x = _delta_slope(x, params)
+    return _delta_prefix(params, params.p**n * x.denominator // x.numerator)
 
 
 @lru_cache(maxsize=128)
 def delta_sum_linear_coeff(x: Fraction, params: TowerParams) -> Fraction:
-    """Coefficient of n in the delta-sum closed form for this x: <g>, the
-    average of the exponent sequence over one cycle.  Vanishes for
-    x = tau.  `test_linear_coeff_matches_paper_form` checks it against the
-    paper's <F(1/x)> - (p-1) <{p^e/x}> / (2p) * (1 - 1/tau_den).
-    """
-    return _exponent_seq(Fraction(x), params).average
+    """c = <g>, the coefficient of n in the delta sum for this x, read from
+    the slope's residue table; 0 for x = tau.  Checked against the paper's
+    <F(1/x)> - (p-1) <{p^e/x}> / (2p) * (1 - 1/tau_den)
+    (`test_linear_coeff_matches_paper_form`)."""
+    x = _delta_slope(x, params)
+    return _residues(x, params.p, params.d)[0]
 
 
 def lambda_r(params: TowerParams) -> Fraction:
@@ -215,11 +178,17 @@ def _residues(x: Fraction, p: int,
     reads c off one cycle of it (from e = v + 1) and B as its running sum
     less <delta0>/((p-1) x) and c n.  The key is (x, p, d) and never r: tau
     is a function of (p, d), so every r and every partner reads one tau
-    table, while a gamma table is read by its own build and `nu_value`."""
+    table, while a gamma table is read by its own build and `nu_value`.
+    The delta0 table is refused first, then v + 2L entries past the
+    default budget, before any entry: `delta_sum_linear_coeff` reaches
+    this table without `_require_build`."""
     params = TowerParams(p, d, 1)  # the delta side reads p and d alone
+    avg = delta0_average(params)  # refuses the delta0 table first
     form = p_adic_decompose(x, p)
     v, period = form.v, multiplicative_order(p, form.num)
-    x_inv, avg = 1 / x, delta0_average(params)
+    require_budget(v + 2 * period, None, f"the residue table of slope {x}",
+                   "entries")
+    x_inv = 1 / x
     g = [F_fn(x_inv, params, e) - avg * frac_part_pn(x_inv, p, e)
          for e in range(v + 2 * period)]
     c = sum(g[v + 1:v + 1 + period]) / period

@@ -202,7 +202,6 @@ def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
     # column and the partner, which has the same numerator, share one order
     for cached in (anum.exact_arith.multiplicative_order,
                    anum.closed_form.closed_model, anum.closed_form._residues,
-                   anum.closed_form._exponent_seq,
                    anum.closed_form.delta_sum_linear_coeff):
         cached.cache_clear()
     factored = []
@@ -219,7 +218,7 @@ def clear_build_caches():
     """Empty every cache a model build reads or fills."""
     for cached in (anum.exact_arith.multiplicative_order, DELTA._delta0_prefix,
                    anum.delta0_average, anum.closed_form.closed_model,
-                   anum.closed_form._residues, anum.closed_form._exponent_seq,
+                   anum.closed_form._residues,
                    anum.closed_form.delta_sum_linear_coeff):
         cached.cache_clear()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import time
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from anum import (
     delta0_average,
     delta_sum_closed,
     delta_sum_linear_coeff,
-    delta_sum_residue,
     evaluate,
     floor_sum_closed,
     frac_part_pn,
@@ -51,7 +51,8 @@ FLOOR_BRACKET_RESIDUES = (
     Fraction(-2, 7), Fraction(-5, 21), Fraction(-3, 7),
     Fraction(-2, 21), Fraction(-2, 7), Fraction(1, 3),
 )
-# residues of the gamma-side delta sum for p=5, d=4, r=2, indexed by n mod 6
+# residues of the gamma-side delta sum for p=5, d=4, r=2, indexed by n mod 6:
+# delta_sum_closed less (1/14) 5^n and n/3
 DELTA_SUM_RESIDUES = (
     Fraction(-1, 14), Fraction(13, 42), Fraction(23, 42),
     Fraction(1, 14), Fraction(1, 42), Fraction(5, 42),
@@ -167,24 +168,44 @@ def test_delta_sum_pinned_residues():
         expected = (Fraction(1, 14) * 5**n + Fraction(1, 3) * n
                     + DELTA_SUM_RESIDUES[n % 6])
         assert gamma_sum == expected, n
-        assert delta_sum_residue(params.gamma, params, n) == DELTA_SUM_RESIDUES[n % 6]
+
+
+def test_split_sums_read_no_residue_code(monkeypatch):
+    # floor_sum_closed and delta_sum_closed are the split forms, the oracle
+    # the bench checks builds against: they must not reach A, F, g or the
+    # p^n digit helpers that the residue tables read
+    def unreachable(*args):
+        raise AssertionError(f"a split sum reached the residue code: {args}")
+
+    exact_arith = importlib.import_module("anum.exact_arith")
+    for module, name in ((anum.closed_form, "A_fn"), (anum.closed_form, "F_fn"),
+                         (anum.closed_form, "_residues"),
+                         (anum.closed_form, "frac_part_pn"),
+                         (anum.closed_form, "floor_pn_mod"),
+                         (exact_arith, "frac_part_pn"),
+                         (exact_arith, "floor_pn_mod")):
+        monkeypatch.setattr(module, name, unreachable)
+    for p, d in pd_grid():
+        for r in (1, 2, 5):
+            params = TowerParams(p, d, r)
+            for x in (params.tau, params.gamma):
+                for n in range(0, 4):
+                    assert (floor_sum_closed(x, p, n)
+                            == naive_floor_sum(x, p, n)), (p, d, r, x, n)
+                    assert (delta_sum_closed(x, params, n) == naive_delta_sum(
+                        params, floor_inv_pn(x, p, n))), (p, d, r, x, n)
 
 
 def test_closed_sums_certified_by_split_form_oracle():
-    # the O(n) split forms enumerate nothing and never read A, B or F, so
-    # they certify both closed sums, p^n lead included, over two periods
-    # past the delay (L reaches 126 here)
+    # the closed form, read from the residue tables, against the O(n) split
+    # forms, which enumerate nothing and never read A, F or the tables, over
+    # two periods past the delay (L reaches 126 here, far past brute force)
     for p, d, r in ((5, 4, 61), (7, 6, 4), (13, 4, 7), (13, 12, 20), (19, 18, 25)):
         params = TowerParams(p, d, r)
         model = closed_model(params)
-        tau, gamma = params.tau, params.gamma
-        for n in range(model.delay + 2 * model.claimed_period):
-            closed = (floor_sum_closed(tau, p, n) - floor_sum_closed(gamma, p, n),
-                      delta_sum_closed(tau, params, n)
-                      - delta_sum_closed(gamma, params, n))
-            assert sum_decomposition(params, n).floor_sum_form == closed, (
+        for n in range(model.delay, model.delay + 2 * model.claimed_period):
+            assert evaluate(model, n) == sum_decomposition(params, n).total, (
                 p, d, r, n)
-
 
 def test_tau_side_linear_coefficient_vanishes():
     for p, d in pd_grid():
@@ -205,6 +226,7 @@ def test_linear_coeff_matches_paper_form():
             paper = f_avg - (p - 1) * frac_avg / (2 * p) * shrink
             assert delta_sum_linear_coeff(x, params) == paper, (params, x)
         assert delta_sum_linear_coeff(params.tau, params) == 0, params
+        assert closed_model(params).lam == paper, params  # x is gamma here
 
 
 def test_tau_inverse_digit_average():
@@ -447,12 +469,23 @@ def test_huge_p_build_is_refused_before_any_order_is_taken(monkeypatch):
         closed_model.__wrapped__(TowerParams(10**16 + 61, 2, 100042))
 
 
-@pytest.mark.parametrize("call", ("closed_model(cell)", "lambda_r(cell)",
-                                  "check_pairing(cell)", "nu_value(cell, 0)"))
+BUILD_REFUSAL = "the closed-form build needs 20000204 entries, budget is 10000000"
+GATED = {
+    "closed_model(cell)": BUILD_REFUSAL,
+    "lambda_r(cell)": BUILD_REFUSAL,
+    "check_pairing(cell)": BUILD_REFUSAL,
+    "nu_value(cell, 0)": BUILD_REFUSAL,
+    "delta_sum_linear_coeff(cell.gamma, cell)": (
+        "the residue table of slope 10000103/2 needs 20000204 entries, "
+        "budget is 10000000"),
+}
+
+
+@pytest.mark.parametrize("call", GATED)
 def test_every_library_path_to_a_build_is_gated(call):
-    # L = 10000102 at (5, 4, 5000050): each public reader of the residue
-    # tables is refused before it evaluates any; a fresh process turns a
-    # hang into a timeout instead of stalling the suite
+    # L = L_gamma = 10000102 at (5, 4, 5000050): each public reader of the
+    # residue tables is refused before it evaluates any; a fresh process
+    # turns a hang into a timeout instead of stalling the suite
     script = ("import anum\n"
               "cell = anum.TowerParams(5, 4, 5000050)\n"
               "try:\n"
@@ -460,9 +493,7 @@ def test_every_library_path_to_a_build_is_gated(call):
               "except anum.BudgetExceededError as exc:\n"
               "    print(exc)\n")
     start = time.perf_counter()
-    assert run_python("-c", script, timeout=20) == (
-        0, "the closed-form build needs 20000204 entries, budget is 10000000\n",
-        "")
+    assert run_python("-c", script, timeout=20) == (0, GATED[call] + "\n", "")
     assert time.perf_counter() - start < 2
 
 
@@ -474,18 +505,41 @@ def fresh_residues():
     anum.closed_form._residues.cache_clear()
 
 
+def split_residue(x, params, n, c):
+    """R(n) = A(1/x, n) - B(x, n) from the split forms: the floor sum less
+    (1/2)(1/x) p^(2n) + (1/2)((1/x)(1 - 1/den) - 1) p^n, den the
+    denominator of x, minus the delta sum less <delta0> p^(n+1)/((p-1) x)
+    and c n."""
+    p, td = params.p, params.tau_den
+    avg = Fraction((p - 1) * (td - 1), 2 * p * td)  # <delta0>, written out
+    pn = p**n
+    a = (floor_sum_closed(x, p, n) - pn * pn / (2 * x)
+         - (1 / x * (1 - Fraction(1, x.denominator)) - 1) * pn / 2)
+    b = delta_sum_closed(x, params, n) - avg * pn * p / ((p - 1) * x) - c * n
+    return a - b
+
+
 def test_residue_tables_match_direct_evaluation(fresh_residues):
     # each slope is read alone through the shared reader, against a table
-    # that reads 0 at every n; its slope c is the exponent sequence's average
+    # that reads 0 at every n; the reference is the split forms less their
+    # leads, with c the growth of the delta side over one digit period of
+    # 1/x from its delay.  The five extra cells run two periods of nu past
+    # the delay, up to L = 126
     read, zero = anum.closed_form._nu, (0, 0, (Fraction(0),))
-    for params in full_grid():
-        tau, gamma = (fresh_residues(x, params.p, params.d)
-                      for x in (params.tau, params.gamma))
-        assert (tau[0], gamma[0]) == (0, delta_sum_linear_coeff(params.gamma, params))
-        for n in range(51):
-            r_tau, r_gamma = (A_fn(1 / x, params.p, n)
-                              - delta_sum_residue(x, params, n)
-                              for x in (params.tau, params.gamma))
+    extra = [TowerParams(*cell) for cell in ((5, 4, 61), (7, 6, 4), (13, 4, 7),
+                                             (13, 12, 20), (19, 18, 25))]
+    for params in full_grid() + extra:
+        slopes = (params.tau, params.gamma)
+        c = {}
+        for x in slopes:
+            delay, period = longdiv_delay_period(1 / x, params.p)
+            c[x] = (split_residue(x, params, delay, 0)
+                    - split_residue(x, params, delay + period, 0)) / period
+        tau, gamma = (fresh_residues(x, params.p, params.d) for x in slopes)
+        assert (tau[0], gamma[0]) == (c[params.tau], c[params.gamma]), params
+        delay, period = longdiv_delay_period(1 / params.gamma, params.p)
+        for n in range(max(51, delay + 2 * math.lcm(period, 2))):
+            r_tau, r_gamma = (split_residue(x, params, n, c[x]) for x in slopes)
             assert read((tau, zero), n) == r_tau, (params, n)
             assert read((zero, gamma), n) == -r_gamma, (params, n)
             assert anum.closed_form.nu_value(params, n) == r_tau - r_gamma
@@ -496,7 +550,6 @@ def test_residue_tables_match_direct_evaluation(fresh_residues):
 def test_lambda_is_read_from_the_gamma_table():
     for params in full_grid():
         assert closed_model(params).lam == delta_sum_linear_coeff(params.gamma, params)
-
 
 def plant_half(monkeypatch, x_inv, planted):
     """A_fn off by 1/2 at 1/x = x_inv wherever planted(n) holds."""
