@@ -201,12 +201,6 @@ def _residues(x: Fraction, p: int,
     return c, v, tuple(r[:v + period])
 
 
-def _tables(params: TowerParams):
-    """The (c, v, table) triples of tau and gamma."""
-    return (_residues(params.tau, params.p, params.d),
-            _residues(params.gamma, params.p, params.d))
-
-
 def _nu(tables, n: int) -> Fraction:
     """R(tau, n) - R(gamma, n), indexed in the two slopes' (c, v, table)
     triples: the one reader of `nu_value` and of the build's window."""
@@ -219,24 +213,22 @@ def nu_value(params: TowerParams, n: int) -> Fraction:
     """The periodic constant term at n >= 0: R(tau, n) - R(gamma, n)."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    _require_build(params)
-    return _nu(_tables(params), n)
+    return _nu(_require_build(params)[1], n)
 
 
-def nu_period(params: TowerParams) -> int:
-    """L = lcm(L_gamma, 2): the period the build claims for nu and checks
-    over a window of 2L entries.  L_gamma is the cached order of p modulo
-    gamma's numerator, which the slopes and the pairing partner share."""
-    return math.lcm(multiplicative_order(params.p, params.gamma_num), 2)
-
-
-def _require_build(params: TowerParams) -> None:
-    """Refuse a build of more than the default budget of 2L window entries,
-    before `closed_model` or `nu_value` reads a table.  The delta0 table is
-    refused first: past it, the order behind L may be beyond trial division."""
+def _require_build(params: TowerParams):
+    """Refuse a build of more than the default budget of 2L window entries
+    before any residue table is read; then return (L, (tau, gamma)), with
+    the (c, v, table) triple of each slope.  L = lcm(L_gamma, 2) is the
+    period the build claims for nu; L_gamma is the cached order of p modulo
+    gamma's numerator, which the slopes and the pairing partner share.  The
+    delta0 table is refused first: past it, the order behind L may be
+    beyond trial division."""
     delta0_average(params)
-    require_budget(2 * nu_period(params), None, "the closed-form build",
-                   "entries")
+    period = math.lcm(multiplicative_order(params.p, params.gamma_num), 2)
+    require_budget(2 * period, None, "the closed-form build", "entries")
+    return period, (_residues(params.tau, params.p, params.d),
+                    _residues(params.gamma, params.p, params.d))
 
 
 @dataclass(frozen=True)
@@ -276,17 +268,15 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     at every n of the window, in integers over the common denominator D.
     lam is read from the gamma table.
     """
-    _require_build(params)
+    period, tables = _require_build(params)
     p, d, r = params.p, params.d, params.r
     quad = (1 / params.tau - 1 / params.gamma) / 2
     wired = Fraction(d * r * (p - 1), 2 * (p + 1) * ((p - 1) * r + p + 1))
     if quad != wired:
         raise InvariantViolationError(
             f"quadratic coefficient mismatch: {quad} vs {wired}")
-    tables = _tables(params)
     lam = tables[1][0]
     delay = params.gamma_vp
-    period = nu_period(params)
     window = [_nu(tables, n) for n in range(delay, delay + 2 * period)]
     if window[:period] != window[period:]:
         raise InvariantViolationError(

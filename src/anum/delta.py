@@ -18,7 +18,8 @@ stripped from i:
                ones digit, otherwise 0
 
 where tau_den = d / gcd(d, 2) is the denominator of tau in lowest terms.
-With num = (p+1)*i, the first fractional digit is (num mod d)*p // d and
+With num = (p+1)*i, the first fractional digit is (num mod d)*(p-1)/d,
+since k*p/d = k*(p-1)/d + k/d with 0 <= k/d < 1 for k = num mod d, and
 the ones digit is floor(num/d) mod p; when tau_den | i, num mod d = 0 and
 the test gives 0 with no separate check.  `mu_sum` runs the collapsed test
 over a column range (a long range one residue class of i mod p at a
@@ -160,26 +161,25 @@ class TowerParams:
 def _delta0_prefix(p: int, d: int) -> tuple[int, ...]:
     """`TowerParams.delta0_prefix` in one pass of the collapsed two-digit
     test over num = (p+1)*i.  At a multiple of p, num = p*m, and p = 1
-    modulo d makes both digits floor(p*(m mod d)/d): the test gives the 0
+    modulo d makes both digits (m mod d)*(p-1)/d: the test gives the 0
     that delta0 requires there without stripping p."""
-    q = p + 1
+    q, step = p + 1, (p - 1) // d
     block = d // math.gcd(d, 2) * p
-    return tuple(accumulate((num % d * p // d > num // d % p
+    return tuple(accumulate((num % d * step > num // d % p
                              for num in range(q, q * block + 1, q)), initial=0))
 
 
 def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
     """sum_{lo < i <= hi} mu(i), column by column: the collapsed delta test
     on i with its factors of p stripped, plus floor(tau*i).  Empty when
-    hi <= lo.  A window of 16p columns or more at d <= 1024 (the cached
-    digit table has d entries) goes to `_mu_sum_by_class`; in a shorter
-    one a class costs more to set up than it saves."""
+    hi <= lo.  A window of 16p columns or more goes to `_mu_sum_by_class`;
+    in a shorter one a class costs more to set up than it saves."""
     if lo < 0:
         raise ValueError(f"lo must be non-negative, got {lo}")
     p, d = params.p, params.d
-    if hi - lo >= 16 * p and d <= 1024:
+    if hi - lo >= 16 * p:
         return _mu_sum_by_class(p, d, lo, hi)
-    q = p + 1
+    q, step = p + 1, (p - 1) // d
     total = 0
     for i in range(lo + 1, hi + 1):
         num = q * i
@@ -190,28 +190,22 @@ def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
                 j //= p
             num = q * j
             ones = num // d
-        total += floor_v + (num % d * p // d > ones % p)
+        total += floor_v + (num % d * step > ones % p)
     return total
-
-
-@lru_cache(maxsize=64)
-def _first_digits(p: int, d: int) -> tuple[int, ...]:
-    return tuple(k * p // d for k in range(d))  # first digit of k/d
 
 
 def _mu_sum_by_class(p: int, d: int, lo: int, hi: int) -> int:
     """`mu_sum` one residue class of i mod p at a time over num = (p+1)*i:
     a multiple of p adds its floor here and its delta, stripped of one p,
     at the next level (lo//p, hi//p]."""
-    q = p + 1
-    first = _first_digits(p, d)
+    q, step = p + 1, (p - 1) // d
     total = 0
     for start in range(lo + 1, lo + p + 1):
         nums = range(q * start, q * hi + 1, q * p)
         if start % p:
             for num in nums:
                 ones = num // d
-                total += ones + (first[num % d] > ones % p)
+                total += ones + (num % d * step > ones % p)
         else:
             total += sum(num // d for num in nums)
     lo, hi = lo // p, hi // p
@@ -219,7 +213,7 @@ def _mu_sum_by_class(p: int, d: int, lo: int, hi: int) -> int:
         for start in range(lo + 1, min(hi, lo + p) + 1):
             if start % p:
                 for num in range(q * start, q * hi + 1, q * p):
-                    total += first[num % d] > num // d % p
+                    total += num % d * step > num // d % p
         lo, hi = lo // p, hi // p
     return total
 

@@ -146,11 +146,15 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
             for lo, hi in windows:
                 assert (mu_sum(params, lo, hi)
                         == mu_sum_columnwise(params, lo, hi)), (p, d, lo, hi)
-    # d past the digit table's limit of 1024 takes the columns in order
-    for d in (515, 1030):
-        params = TowerParams(1031, d, 1)
-        lo, hi = 1031**2 - 8 * 1031, 1031**2 + 8 * 1031 + 3
-        assert mu_sum(params, lo, hi) == mu_sum_columnwise(params, lo, hi)
+    # large d, (p - 1)/2 and p - 1, take the class walk like any d: windows
+    # across p^2 either side of its 16p-column switch
+    for p, ds in ((1031, (515, 1030)), (10007, (5003, 10006))):
+        for d in ds:
+            params = TowerParams(p, d, 1)
+            lo = p**2 - 8 * p
+            for width in (16 * p - 1, 16 * p, 16 * p + 1, 16 * p + 3):
+                assert (mu_sum(params, lo, lo + width)
+                        == mu_sum_columnwise(params, lo, lo + width)), (p, d, width)
 
 
 def _assert_law_on_grid(name):
