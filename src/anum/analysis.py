@@ -19,7 +19,7 @@ comparison as data (partner_period_equal) and never asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .closed_form import closed_model, lambda_r, minimal_nu_period
@@ -29,8 +29,11 @@ from .exact_arith import multiplicative_order
 from .lattice import sum_decomposition
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(namedtuple(
+        "PeriodReport",
+        "params lcm_bound gamma_period minimal_period half_case formula_delay "
+        "minimal_delay lambda_value lambda_times_period lambda_integral "
+        "pairing_partner nu_values")):
     """Measured period/delay data for one parameter set.
 
     This is a measurement record: minimal_period always divides lcm_bound
@@ -42,24 +45,15 @@ class PeriodReport:
     with a constant residue, so lambda_integral is data, not an invariant.
     """
 
-    params: TowerParams
-    lcm_bound: int
-    gamma_period: int
-    minimal_period: int
-    half_case: bool
-    formula_delay: int
-    minimal_delay: int
-    lambda_value: Fraction
-    lambda_times_period: Fraction
-    lambda_integral: bool
-    pairing_partner: int
-    nu_values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lcm_bound % self.minimal_period != 0:
             raise InvariantViolationError(
                 f"measured period {self.minimal_period} does not divide the "
                 f"bound {self.lcm_bound}")
+        return self
 
 
 def minimal_period(params: TowerParams) -> PeriodReport:
@@ -113,8 +107,8 @@ def minimal_period(params: TowerParams) -> PeriodReport:
     )
 
 
-@dataclass(frozen=True)
-class PairingRecord:
+class PairingRecord(namedtuple("PairingRecord",
+                               "r0 r1 lambda0 lambda1 delay0 delay1")):
     """Comparison of r0 against its partner r1 = (r0+1)p + 1.
 
     The linear-coefficient and delay relations are theorems and are
@@ -123,14 +117,10 @@ class PairingRecord:
     their comparison as data (partner_period_equal).
     """
 
-    r0: int
-    r1: int
-    lambda0: Fraction
-    lambda1: Fraction
-    delay0: int
-    delay1: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lambda1 != self.lambda0:
             raise InvariantViolationError(
                 f"paired linear coefficients differ: {self.lambda0} vs "
@@ -139,6 +129,7 @@ class PairingRecord:
             raise InvariantViolationError(
                 f"paired delays are not offset by one: {self.delay0} -> "
                 f"{self.delay1} for r0={self.r0}, r1={self.r1}")
+        return self
 
 
 def check_pairing(params: TowerParams) -> PairingRecord:
@@ -155,37 +146,27 @@ def check_pairing(params: TowerParams) -> PairingRecord:
     )
 
 
-def _column(name: str):
-    return field(default=None, metadata={"column": name})
+# the sweep's column names, where they differ from SweepRow's field names
+_RENAMED = {"lam": "lambda", "formula_delay": "N_r",
+            "gamma_period": "L_gamma_inv", "minimal_period": "L",
+            "lambda_times_period": "lambda_times_L",
+            "partner_period": "partner_L"}
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(namedtuple(
+        "SweepRow",
+        "p d r quad lam formula_delay minimal_delay lcm_bound gamma_period "
+        "minimal_period half_case lambda_times_period lambda_integral "
+        "partner_r partner_lambda_equal partner_delay_shift partner_period "
+        "partner_period_equal error",
+        defaults=(None,) * 15 + ("",))):
     """One sweep cell; the fields, in order, are the sweep's columns, named
     as in SWEEP_COLUMNS.  All data fields are None when `error` is set."""
 
-    p: int
-    d: int
-    r: int
-    quad: Fraction | None = None
-    lam: Fraction | None = _column("lambda")
-    formula_delay: int | None = _column("N_r")
-    minimal_delay: int | None = None
-    lcm_bound: int | None = None
-    gamma_period: int | None = _column("L_gamma_inv")
-    minimal_period: int | None = _column("L")
-    half_case: bool | None = None
-    lambda_times_period: Fraction | None = _column("lambda_times_L")
-    lambda_integral: bool | None = None
-    partner_r: int | None = None
-    partner_lambda_equal: bool | None = None
-    partner_delay_shift: int | None = None
-    partner_period: int | None = _column("partner_L")
-    partner_period_equal: bool | None = None
-    error: str = ""
+    __slots__ = ()
 
 
-SWEEP_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(SweepRow))
+SWEEP_COLUMNS = tuple(_RENAMED.get(name, name) for name in SweepRow._fields)
 
 
 def sweep(entries) -> list[SweepRow]:

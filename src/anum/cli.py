@@ -17,9 +17,7 @@ import io
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
-from dataclasses import astuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -166,6 +164,7 @@ def _output(out: str | None):
         return
     if os.path.isdir(out):
         raise UsageError(f"cannot write {out}: Is a directory")
+    import tempfile  # here, not at the top: only --out needs it
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
@@ -295,7 +294,7 @@ def cmd_sweep(args) -> int:
     grid = [(p, d, r) for p, d in pairs for r in range(1, args.r_max + 1)]
     with _output(args.out) as write:
         rows = sweep(grid)
-        write(_render(SWEEP_COLUMNS, map(astuple, rows), args.format))
+        write(_render(SWEEP_COLUMNS, rows, args.format))
     failed = [row.error for row in rows if row.error]
     if failed:
         _print_error(f"{len(failed)} of {len(rows)} sweep cells failed; "

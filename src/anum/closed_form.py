@@ -50,7 +50,7 @@ a small integer (`_check_window`); `evaluate` computes D * value directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -231,22 +231,17 @@ def _require_build(params: TowerParams):
                     _residues(params.gamma, params.p, params.d))
 
 
-@dataclass(frozen=True)
-class ClosedFormModel:
+class ClosedFormModel(namedtuple(
+        "ClosedFormModel",
+        "params quad_coeff lam delay claimed_period nu_table")):
     """Assembled right side quad*p^{2n} + lam*n + nu_table[n mod claimed_period],
     valid for n >= delay.
 
     nu_table is indexed by n mod claimed_period; its stability was
     re-checked over a second full period at construction, which turns the
-    asymptotic statement into a machine-checked window.
+    asymptotic statement into a machine-checked window.  No __slots__: the
+    cached _den lives in the instance __dict__.
     """
-
-    params: TowerParams
-    quad_coeff: Fraction
-    lam: Fraction
-    delay: int
-    claimed_period: int
-    nu_table: tuple[Fraction, ...]
 
     @cached_property
     def _den(self) -> int:

@@ -44,7 +44,7 @@ p = 1000003, d = 2 take about 0.2 s (2 vCPUs, Python 3.11.7).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -86,23 +86,20 @@ def require_budget(count: int, budget: int | None = None, what="enumeration",
         raise _budget_error(_count_text(count), budget, what, unit)
 
 
-@dataclass(frozen=True)
-class TowerParams:
+class TowerParams(namedtuple("TowerParams", "p d r")):
     """Parameters (p, d, r): odd prime p, ramification invariant d dividing
     p-1, and operator power r >= 1.  Primality of p is checked once here;
-    everything downstream trusts it."""
+    everything downstream trusts it.  No __slots__: the cached properties
+    live in the instance __dict__."""
 
-    p: int
-    d: int
-    r: int
-
-    def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.d < 1 or (self.p - 1) % self.d != 0:
-            raise ValueError(f"d must divide p-1: got d={self.d}, p={self.p}")
-        if self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r}")
+    def __new__(cls, p: int, d: int, r: int):
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if d < 1 or (p - 1) % d != 0:
+            raise ValueError(f"d must divide p-1: got d={d}, p={p}")
+        if r < 1:
+            raise ValueError(f"r must be a positive integer, got {r}")
+        return super().__new__(cls, p, d, r)
 
     @cached_property
     def tau(self) -> Fraction:

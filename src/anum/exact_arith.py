@@ -13,7 +13,7 @@ on every CLI, CSV, and JSON surface; see `format_rational`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -114,15 +114,11 @@ def frac_part(q: Fraction | int) -> Fraction:
     return q - math.floor(q)
 
 
-@dataclass(frozen=True)
-class PAdicForm:
+class PAdicForm(namedtuple("PAdicForm", "p v num den")):
     """Splitting x = p^v * num/den with num and den coprime positive
     integers, neither divisible by p."""
 
-    p: int
-    v: int
-    num: int
-    den: int
+    __slots__ = ()
 
 
 def p_adic_decompose(x: Fraction | int, p: int) -> PAdicForm:

@@ -16,7 +16,7 @@ evaluated, not enumerated: O(n) big-integer operations, with no budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .delta import (TowerParams, _budget_error, _budget_limit, _more_than,
                     mu_sum, require_budget)
@@ -102,8 +102,10 @@ def count_delta_region(params: TowerParams, n: int, budget: int | None = None) -
     return (last - t) * p**n - mu_sum(params, t, last)
 
 
-@dataclass(frozen=True)
-class ANumberBreakdown:
+class ANumberBreakdown(namedtuple(
+        "ANumberBreakdown",
+        "n t_n triangle_term delta_region_count total floor_sum_form",
+        defaults=(None,))):
     """One region count split into its triangle bulk and the boundary part.
 
     floor_sum_form, when present, holds the two bracketed differences of
@@ -111,12 +113,7 @@ class ANumberBreakdown:
     difference is again the total.
     """
 
-    n: int
-    t_n: int
-    triangle_term: int
-    delta_region_count: int
-    total: int
-    floor_sum_form: tuple[int, int] | None = None
+    __slots__ = ()
 
 
 def a_number_bruteforce(params: TowerParams, n: int,
@@ -177,13 +174,13 @@ def _delta_prefix(params: TowerParams, count: int) -> int:
     sum is P0(count) + P0(count // p) + P0(count // p^2) + ..., where
     P0(M) = sum_{i <= M} delta0(i) is read from one period of delta0.
     """
-    prefix = params.delta0_prefix
+    prefix, p = params.delta0_prefix, params.p
     block = len(prefix) - 1
     total = 0
     while count:
         whole, rest = divmod(count, block)
         total += whole * prefix[block] + prefix[rest]
-        count //= params.p
+        count //= p
     return total
 
 

@@ -12,28 +12,29 @@ at 0 shift by one at the call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
 
-@dataclass(frozen=True, init=False)
-class EventuallyPeriodicSeq:
+class EventuallyPeriodicSeq(namedtuple("EventuallyPeriodicSeq", "delay sums")):
     """1-indexed: term i is head[i-1] for i <= delay, then the cycle repeats.
 
     Only the cumulative sums are kept: sums[k] is the sum of terms 1..k
-    for 0 <= k <= delay + period.  head and cycle are recovered from them.
+    for 0 <= k <= delay + period.  head and cycle are recovered from them,
+    and a copy or pickle rebuilds the sequence from them.
     """
 
-    delay: int
-    sums: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __init__(self, head: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
+    def __new__(cls, head: tuple[Fraction, ...], cycle: tuple[Fraction, ...]):
         if not cycle:
             raise ValueError("cycle must be non-empty")
-        object.__setattr__(self, "delay", len(head))
-        object.__setattr__(self, "sums", tuple(
+        return super().__new__(cls, len(head), tuple(
             accumulate((*head, *cycle), initial=Fraction(0))))
+
+    def __getnewargs__(self):
+        return self.head, self.cycle
 
     @property
     def period(self) -> int:

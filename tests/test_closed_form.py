@@ -1,6 +1,5 @@
 """Closed forms against term-by-term summation and pinned residue tables."""
 
-import dataclasses
 import importlib
 import math
 import time
@@ -311,15 +310,15 @@ def test_integrality_refusal_at_large_n_is_an_invariant_violation():
     # the value there is past the 4300-digit int-to-str limit, so the
     # message writes it as its sign and a power of ten
     model = closed_model(TowerParams(13, 12, 20))
-    bad = dataclasses.replace(
-        model, nu_table=tuple(v + Fraction(1, 2) for v in model.nu_table))
+    bad = model._replace(
+        nu_table=tuple(v + Fraction(1, 2) for v in model.nu_table))
     with pytest.raises(InvariantViolationError, match="non-integral"):
         evaluate(bad, 5)
     with pytest.raises(InvariantViolationError,
                        match=r"value \(more than 10\^\d+\) at n=3000$"):
         evaluate(bad, 3000)
-    low = dataclasses.replace(
-        model, nu_table=tuple(v - 10**4000 for v in model.nu_table))
+    low = model._replace(
+        nu_table=tuple(v - 10**4000 for v in model.nu_table))
     with pytest.raises(InvariantViolationError,
                        match=r"negative value -\(more than 10\^3999\) at n=5$"):
         evaluate(low, 5)
