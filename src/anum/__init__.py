@@ -30,7 +30,6 @@ from .closed_form import (
     nu_value,
 )
 from .delta import (
-    DEFAULT_COLUMN_BUDGET,
     TowerParams,
     delta,
     delta0,
@@ -41,12 +40,12 @@ from .delta import (
 )
 from .errors import BudgetExceededError, InvariantViolationError, PreDelayError
 from .exact_arith import (
+    DEFAULT_COLUMN_BUDGET,
     PAdicForm,
     digit,
     divisors,
     floor_pn_mod,
     format_rational,
-    frac_part,
     frac_part_pn,
     is_prime,
     multiplicative_order,
@@ -97,7 +96,6 @@ __all__ = [
     "floor_pn_mod",
     "floor_sum_closed",
     "format_rational",
-    "frac_part",
     "frac_part_pn",
     "is_prime",
     "lambda_r",

@@ -9,12 +9,12 @@ delta with the raw digit comparison `delta_lexicographic`, mu with floor
 arithmetic plus `delta_lexicographic`, `delta0_average` with the direct
 sum of delta0 over one period, and the closed form with brute force.
 
-The split forms share no code with the closed form.  The one table they
-read, `delta0_prefix`, is the running sum of delta0 over one period, built
-by its own pass of the collapsed test; the shift, reflection and average
-laws check delta0 on that period.  `floor_sum_closed` and
+The split forms share only P0, the floor-sum prefix of delta0
+(`delta.p0`), with the closed form; the shift, reflection and average
+laws check delta0 itself by the column test over one period, and the
+tests check P0 against its running sum.  `floor_sum_closed` and
 `delta_sum_closed` are these split forms one sum at a time, so the bench's
-`split_sum` oracle shares only `delta0_prefix` with the build it checks.
+`split_sum` oracle shares only P0 with the build it checks.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  Every error path prints a single line prefixed "error:" to
 stderr.  --budget or ANUM_BUDGET (flag wins) sets the brute-force column
-budget of compute and verify; the delta0 table and laws, delta-table rows,
-sweep cells and, in `closed_model` itself, every closed-form build's 2L
-window are refused past the fixed default.  sweep exits 1 if any cell
-failed.  Identical invocations produce byte-identical output.
+budget of compute and verify; the delta0 laws, delta-table rows, sweep
+cells, the order search behind L and, in `closed_model` itself, every
+closed-form build's 2L window are held to the fixed default.  sweep exits
+1 if any cell failed.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations

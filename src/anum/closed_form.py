@@ -55,50 +55,46 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .delta import TowerParams, _count_text, delta0_average, require_budget
+from .delta import (TowerParams, _budget_error, _count_text, _more_than,
+                    delta0_average, p0, require_budget)
 from .errors import InvariantViolationError, PreDelayError
 from .exact_arith import (
+    _budget_limit,
+    _floor_sum,
     divisors,
     floor_pn_mod,
     format_rational,
-    frac_part,
     frac_part_pn,
     multiplicative_order,
     p_adic_decompose,
 )
-from .lattice import _delta_prefix, _floor_sum
+from .lattice import _delta_prefix
 
 
 def A_fn(x_inv: Fraction, p: int, n: int) -> Fraction:
-    """Periodic residue of the floor sum.  With x = 1/x_inv and den the
-    prime-to-p denominator of x:
+    """Periodic residue of the floor sum.  With x = 1/x_inv = X/den in
+    lowest terms (den is prime to p exactly when v_p(x) >= 0) and
+    M = floor(x_inv p^n) mod den:
 
         (1/2)(-(1 - 1/den) + x(1 - {x_inv p^n})) {x_inv p^n}
-        + sum_{k=1}^{floor(x_inv p^n) mod den} ({x k} - (1 - 1/den)/2)
+        + sum_{k=1}^{M} ({x k} - (1 - 1/den)/2)
 
-    Periodic in n from the delay of x_inv on, with its digit period.
+    where {x k} = (X k - den floor(X k/den))/den makes the sum one floor
+    sum.  Periodic in n from the delay of x_inv on, with its digit period.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x_inv = Fraction(x_inv)
     x = 1 / x_inv
-    den = x.denominator  # prime to p exactly when v_p(x) >= 0
+    num, den = x.numerator, x.denominator
     if den % p == 0:
         raise ValueError(
             f"1/x_inv must have non-negative p-adic valuation, got {x}")
     fp = frac_part_pn(x_inv, p, n)
     head = (Fraction(-(den - 1), den) + x * (1 - fp)) * fp / 2
-    return head + _centred_frac_sums(x)[floor_pn_mod(x_inv, p, n, den)]
-
-
-@lru_cache(maxsize=16)
-def _centred_frac_sums(x: Fraction) -> tuple[Fraction, ...]:
-    """Entry M is sum_{k=1}^{M} ({x k} - (1 - 1/den)/2) for 0 <= M < den,
-    den the denominator of x: the partial sums A_fn reads."""
-    den = x.denominator
-    avg = Fraction(den - 1, 2 * den)
-    return tuple(accumulate((frac_part(x * k) - avg for k in range(1, den)),
-                            initial=Fraction(0)))
+    m = floor_pn_mod(x_inv, p, n, den)
+    return head + Fraction(num * m * (m + 1) - m * (den - 1)
+                           - 2 * den * _floor_sum(m, den, num, num), 2 * den)
 
 
 def floor_sum_closed(x: Fraction | int, p: int, n: int) -> int:
@@ -118,15 +114,16 @@ def floor_sum_closed(x: Fraction | int, p: int, n: int) -> int:
 def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
     """Partial-period correction of the delta0 prefix sum at exponent e:
 
-        sum_{k=1}^{floor(x_inv p^e) mod (tau_den p)} (delta0(k) - <delta0>)
+        P0(M) - M <delta0>,  M = floor(x_inv p^e) mod (tau_den p),
 
-    Periodic in e one step past the delay of x_inv, with its digit period.
+    with P0 the three floor sums of `delta.p0`.  Periodic in e one step
+    past the delay of x_inv, with its digit period.
     """
     if e < 0:
         raise ValueError(f"e must be non-negative, got {e}")
     block = params.tau_den * params.p
     m = floor_pn_mod(Fraction(x_inv), params.p, e, block)
-    return params.delta0_prefix[m] - m * delta0_average(params)
+    return p0(params, m) - m * delta0_average(params)
 
 
 def _delta_slope(x: Fraction | int, params: TowerParams) -> Fraction:
@@ -179,15 +176,14 @@ def _residues(x: Fraction, p: int,
     less <delta0>/((p-1) x) and c n.  The key is (x, p, d) and never r: tau
     is a function of (p, d), so every r and every partner reads one tau
     table, while a gamma table is read by its own build and `nu_value`.
-    The delta0 table is refused first, then v + 2L entries past the
-    default budget, before any entry: `delta_sum_linear_coeff` reaches
-    this table without `_require_build`."""
+    v + 2L entries past the default budget are refused before any entry:
+    `delta_sum_linear_coeff` reaches this table without `_require_build`."""
     params = TowerParams(p, d, 1)  # the delta side reads p and d alone
-    avg = delta0_average(params)  # refuses the delta0 table first
     form = p_adic_decompose(x, p)
-    v, period = form.v, multiplicative_order(p, form.num)
-    require_budget(v + 2 * period, None, f"the residue table of slope {x}",
-                   "entries")
+    what = f"the residue table of slope {x}"
+    v, period = form.v, _digit_period(p, form.num, what)
+    require_budget(v + 2 * period, None, what, "entries")
+    avg = delta0_average(params)
     x_inv = 1 / x
     g = [F_fn(x_inv, params, e) - avg * frac_part_pn(x_inv, p, e)
          for e in range(v + 2 * period)]
@@ -216,17 +212,26 @@ def nu_value(params: TowerParams, n: int) -> Fraction:
     return _nu(_require_build(params)[1], n)
 
 
+def _digit_period(p: int, num: int, what: str) -> int:
+    """The order of p modulo num, behind 2 * order entries of `what` or
+    more: past 2^(bit length of B), B the budget, when the order is refused."""
+    order = multiplicative_order(p, num)
+    if order is None:
+        raise _budget_error(_more_than(_budget_limit(None).bit_length()),
+                            None, what, "entries")
+    return order
+
+
 def _require_build(params: TowerParams):
     """Refuse a build of more than the default budget of 2L window entries
     before any residue table is read; then return (L, (tau, gamma)), with
     the (c, v, table) triple of each slope.  L = lcm(L_gamma, 2) is the
-    period the build claims for nu; L_gamma is the cached order of p modulo
-    gamma's numerator, which the slopes and the pairing partner share.  The
-    delta0 table is refused first: past it, the order behind L may be
-    beyond trial division."""
-    delta0_average(params)
-    period = math.lcm(multiplicative_order(params.p, params.gamma_num), 2)
-    require_budget(2 * period, None, "the closed-form build", "entries")
+    period the build claims for nu; L_gamma is the order of p modulo
+    gamma's numerator, which the slopes and the pairing partner share,
+    found by the bounded search of `multiplicative_order` and cached."""
+    what = "the closed-form build"
+    period = math.lcm(_digit_period(params.p, params.gamma_num, what), 2)
+    require_budget(2 * period, None, what, "entries")
     return period, (_residues(params.tau, params.p, params.d),
                     _residues(params.gamma, params.p, params.d))
 

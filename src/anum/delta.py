@@ -34,11 +34,15 @@ call, one column in order, 1010 ns (`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period
-tau_den * p from the start, which is what makes the prefix sums downstream
-tractable.  Its prefix table over that period (`TowerParams.delta0_prefix`)
-depends on (p, d) alone: it is built in one pass of the collapsed test and
-cached per (p, d), so every r reads one copy.  The 10^6 entries of
-p = 1000003, d = 2 take about 0.2 s (2 vCPUs, Python 3.11.7).
+tau_den * p from the start.  Its prefix sum P0 (`p0`) is three floor
+sums of O(log p) steps, with no table: with s = (p-1)/d, the first
+fractional digit K = ((p+1)i mod d)*s and the ones digit
+o = floor((p+1)i/d) mod p differ by less than p, so the collapsed test is
+floor((K - o + p - 1)/p), and written out
+
+    delta0(i) = 1 + floor((s*i - 1)/p) - floor(2i/d) + floor((p+1)i/(d*p))
+
+for every i >= 1 (at a multiple of p, K = o and it gives 0).
 """
 
 from __future__ import annotations
@@ -47,13 +51,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 from .errors import BudgetExceededError, InvariantViolationError
-from .exact_arith import PAdicForm, digit, is_prime, p_adic_decompose
-
-# Columns brute force may enumerate, and the cap on every other gated count
-DEFAULT_COLUMN_BUDGET = 10**7
+from .exact_arith import (PAdicForm, _budget_limit, _floor_sum, digit,
+                          is_prime, p_adic_decompose)
 
 
 def _more_than(bits: int) -> str:
@@ -67,10 +68,6 @@ def _count_text(count: int) -> str:
     a message stays one short line."""
     bits = count.bit_length() - 1
     return str(count) if bits < 100 else _more_than(bits)
-
-
-def _budget_limit(budget: int | None) -> int:
-    return DEFAULT_COLUMN_BUDGET if budget is None else budget
 
 
 def _budget_error(need, budget, what="enumeration", unit="columns"):
@@ -144,26 +141,18 @@ class TowerParams(namedtuple("TowerParams", "p d r")):
     def gamma_den(self) -> int:
         return self.gamma_form.den
 
-    @property
-    def delta0_prefix(self) -> tuple[int, ...]:
-        """Cumulative sums of delta0 over one full period: entry m is
-        sum_{i=1..m} delta0(i) for 0 <= m <= tau_den * p.  The table
-        depends on (p, d) alone, so every r reads one cached copy; the
-        budget is checked on every read, before the cache."""
-        require_budget(self.tau_den * self.p, None, "the delta0 table", "entries")
-        return _delta0_prefix(self.p, self.d)
 
-
-@lru_cache(maxsize=8)  # up to 10^7 entries each; a sweep reads one (p, d) at a time
-def _delta0_prefix(p: int, d: int) -> tuple[int, ...]:
-    """`TowerParams.delta0_prefix` in one pass of the collapsed two-digit
-    test over num = (p+1)*i.  At a multiple of p, num = p*m, and p = 1
-    modulo d makes both digits (m mod d)*(p-1)/d: the test gives the 0
-    that delta0 requires there without stripping p."""
-    q, step = p + 1, (p - 1) // d
-    block = d // math.gcd(d, 2) * p
-    return tuple(accumulate((num % d * step > num // d % p
-                             for num in range(q, q * block + 1, q)), initial=0))
+def p0(params: TowerParams, m: int) -> int:
+    """P0(m) = sum_{i=1..m} delta0(i).  Whole periods of tau_den * p count
+    (p-1)(tau_den-1)/2 each, and the rest is the three floor sums of the
+    module docstring, on numbers below tau_den * p whatever m."""
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    p, d, td = params.p, params.d, params.tau_den
+    whole, m = divmod(m, td * p)
+    s = (p - 1) // d
+    return (whole * ((p - 1) * (td - 1) // 2) + m + _floor_sum(m, p, s, s - 1)
+            - _floor_sum(m, d, 2, 2) + _floor_sum(m, d * p, p + 1, p + 1))
 
 
 def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
@@ -276,16 +265,14 @@ def mu(params: TowerParams, i: int) -> int:
 
 @lru_cache(maxsize=64)
 def delta0_average(params: TowerParams) -> Fraction:
-    """Average of delta0 over one period: (1 - 1/p)(1 - 1/tau_den)/2.
-
-    Verified against the direct sum over one full period before returning;
-    the cache makes that a once-per-parameter-set check.
-    """
+    """Average of delta0 over one period: (1 - 1/p)(1 - 1/tau_den)/2,
+    checked once per parameter set against P0's floor sums at tau_den*p - 1
+    (delta0 vanishes at tau_den*p): two closed forms that share no code.
+    The direct sum of the column test is the `average` law in `checks`."""
     p, td = params.p, params.tau_den
     value = Fraction((p - 1) * (td - 1), 2 * p * td)
-    block = td * p
-    if value * block != params.delta0_prefix[block]:
+    if value * td * p != p0(params, td * p - 1):
         raise InvariantViolationError(
-            f"delta0 average formula disagrees with the direct sum for "
+            f"delta0 average formula disagrees with P0 over one period for "
             f"p={p}, d={params.d}")
     return value

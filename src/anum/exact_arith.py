@@ -31,6 +31,13 @@ def format_rational(q: Fraction | int) -> str:
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
+# Columns brute force may enumerate, and the cap on every other gated count
+DEFAULT_COLUMN_BUDGET = 10**7
+
+
+def _budget_limit(budget: int | None) -> int:
+    return DEFAULT_COLUMN_BUDGET if budget is None else budget
+
 
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
@@ -84,34 +91,59 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=1024)
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/mZ)^*.  The trivial group (m = 1) gives 1.
-
-    The order divides phi(m): start from phi(m) and divide out each prime
-    q of it while a still has order dividing the quotient.  Cost is two
-    trial-division factorisations plus O(log^2 m) modular powers, paid
-    once per (a, m).
-    """
+def multiplicative_order(a: int, m: int) -> int | None:
+    """Order of a in (Z/mZ)^*, the least k >= 1 with a^k = 1 (mod m), by
+    baby-step giant-step (Shanks): s baby steps a^j, j < s, then giant
+    steps a^(i*s), i <= s, until one meets a baby step at k = i*s - j.
+    With s = isqrt(min(B, m)) + 1, B the default budget read at each call,
+    that finds every order up to s^2, so every one up to B, in O(s) modular
+    multiplications with no factorisation; past s^2 it returns None."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not invertible modulo {m}")
     if m == 1:
         return 1
-    order = 1
-    for q, k in _factor(m).items():
-        order *= q**(k - 1) * (q - 1)
-    for q in _factor(order):
-        while order % q == 0 and pow(a, order // q, m) == 1:
-            order //= q
-    return order
+    return _order(a % m, m, math.isqrt(min(_budget_limit(None), m)) + 1)
 
 
-def frac_part(q: Fraction | int) -> Fraction:
-    """{q} = q - floor(q), exactly."""
-    q = Fraction(q)
-    return q - math.floor(q)
+@lru_cache(maxsize=1024)
+def _order(a: int, m: int, steps: int) -> int | None:
+    baby, power = {}, 1
+    for j in range(steps):  # a^j, j < steps: distinct unless it returns
+        baby[power] = j
+        power = power * a % m
+        if power == 1:
+            return j + 1
+    giant = power
+    for i in range(1, steps + 1):
+        if giant in baby:
+            return i * steps - baby[giant]
+        giant = giant * power % m
+    return None
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{0 <= i < n} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1.
+
+    The Euclid-like reduction (the AtCoder Library's `floor_sum` is the
+    standard reference): split off the whole parts of a/m and b/m, then
+    count the same lattice points by rows instead of columns, which swaps
+    the roles of a and m.  O(log m) steps.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            qa, a = divmod(a, m)
+            total += qa * n * (n - 1) // 2
+        if b >= m:
+            qb, b = divmod(b, m)
+            total += qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 class PAdicForm(namedtuple("PAdicForm", "p v num den")):

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .delta import (TowerParams, _budget_error, _budget_limit, _more_than,
-                    mu_sum, require_budget)
+from .delta import (TowerParams, _budget_error, _more_than, mu_sum, p0,
+                    require_budget)
 from .errors import InvariantViolationError
+from .exact_arith import _budget_limit, _floor_sum
 
 
 def _top_bits(x: int, e: int) -> tuple[int, int]:
@@ -147,39 +148,15 @@ def triangle_lattice_count(params: TowerParams, n: int,
     return count
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{0 <= i < n} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1.
-
-    The Euclid-like reduction (the AtCoder Library's `floor_sum` is the
-    standard reference): split off the whole parts of a/m and b/m, then
-    count the same lattice points by rows instead of columns, which swaps
-    the roles of a and m.  O(log m) steps.
-    """
-    total = 0
-    while True:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
-        total += qa * n * (n - 1) // 2 + qb * n
-        top = a * n + b
-        if top < m:
-            return total
-        n, b = divmod(top, m)
-        m, a = a, m
-
-
 def _delta_prefix(params: TowerParams, count: int) -> int:
-    """sum_{1 <= i <= count} delta(i) in O(log_p count) steps.
+    """sum_{1 <= i <= count} delta(i) in O(log_p count) reads of P0.
 
     delta(i*p) = delta(i) and delta0 = delta off the multiples of p, so the
-    sum is P0(count) + P0(count // p) + P0(count // p^2) + ..., where
-    P0(M) = sum_{i <= M} delta0(i) is read from one period of delta0.
+    sum is P0(count) + P0(count // p) + P0(count // p^2) + ...
     """
-    prefix, p = params.delta0_prefix, params.p
-    block = len(prefix) - 1
-    total = 0
+    p, total = params.p, 0
     while count:
-        whole, rest = divmod(count, block)
-        total += whole * prefix[block] + prefix[rest]
+        total += p0(params, count)
         count //= p
     return total
 

@@ -1,6 +1,5 @@
 """Period/delay measurement, pairing relations, and the sweep."""
 
-import importlib
 import re
 import time
 from fractions import Fraction
@@ -20,8 +19,6 @@ from anum import (
     minimal_period,
     sweep,
 )
-
-DELTA = importlib.import_module("anum.delta")  # anum.delta is the function
 
 
 def test_minimal_period_p5_d4_r2():
@@ -197,14 +194,21 @@ def test_sweep_refuses_a_build_past_the_budget_before_starting_it():
     assert row.minimal_period is None
 
 
-def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
-    # gamma's numerator at (5, 4, 11062998222163) is the prime
-    # 22125996444329 (L = 58); the gate, both slopes, the L_gamma_inv
-    # column and the partner, which has the same numerator, share one order
-    for cached in (anum.exact_arith.multiplicative_order,
+def clear_build_caches():
+    """Empty every cache a model build reads or fills."""
+    for cached in (anum.exact_arith._order, anum.delta0_average,
                    anum.closed_form.closed_model, anum.closed_form._residues,
                    anum.closed_form.delta_sum_linear_coeff):
         cached.cache_clear()
+
+
+def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
+    # gamma's numerator at (5, 4, 11062998222163) is the prime
+    # 22125996444329 (L = 58); the gate, both slopes, the L_gamma_inv
+    # column and the partner, which has the same numerator, share one
+    # order search, and tau's numerator 3 takes the other; the numerator is
+    # never factored
+    clear_build_caches()
     factored = []
     factor = anum.exact_arith._factor
     monkeypatch.setattr(anum.exact_arith, "_factor",
@@ -212,21 +216,14 @@ def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
     [row] = sweep([(5, 4, 11062998222163)])
     assert row.error == ""
     assert (row.gamma_period, row.lcm_bound) == (29, 58)
-    assert factored.count(22125996444329) == 1
-
-
-def clear_build_caches():
-    """Empty every cache a model build reads or fills."""
-    for cached in (anum.exact_arith.multiplicative_order, DELTA._delta0_prefix,
-                   anum.delta0_average, anum.closed_form.closed_model,
-                   anum.closed_form._residues,
-                   anum.closed_form.delta_sum_linear_coeff):
-        cached.cache_clear()
+    assert anum.exact_arith._order.cache_info().misses == 2
+    assert 22125996444329 not in factored
 
 
 def test_a_cold_sweep_builds_the_delta0_and_tau_tables_once(monkeypatch):
-    # 20 cells and their partners at (13, 12) share one delta0 table and one
-    # tau table: L_tau = 2 there, so one tau table is 4 evaluations of A
+    # 20 cells and their partners at (13, 12) check delta0's average once
+    # and share one tau table: L_tau = 2 there, so one tau table is 4
+    # evaluations of A
     cells = [(13, 12, r) for r in range(1, 21)]
     alone = []
     for cell in cells:
@@ -243,7 +240,7 @@ def test_a_cold_sweep_builds_the_delta0_and_tau_tables_once(monkeypatch):
 
     monkeypatch.setattr(anum.closed_form, "A_fn", counted_A)
     rows = sweep(cells)
-    assert DELTA._delta0_prefix.cache_info().misses == 1
+    assert anum.delta0_average.cache_info().misses == 1
     assert tau_calls == [0, 1, 2, 3]
     assert rows == alone
     assert all(row.error == "" for row in rows)

@@ -527,22 +527,47 @@ def test_large_prime_brute_force_is_prompt():
         0, f"p={HUGE_P} d=2 r=1 n=1\nbrute = 5000000000000030\n", "")
 
 
-def test_huge_p_closed_paths_refuse_the_delta0_table_at_once():
-    # the delta0 table would hold tau_den * p entries; at r = 100042,
-    # gamma_num is a prime near 5 * 10^20 that trial division cannot factor
-    for r in ("1", "100042"):
-        code, out, err = run_fresh("formula", "-p", HUGE_P, "-d", "2", "-r", r,
+def test_huge_p_closed_paths_answer_or_refuse_at_once():
+    # no table grows with p: P0 and the centred sums are floor sums, so the
+    # closed form answers at p ~ 10^16 with d = 2 and d = p - 1, and every
+    # divisor d of p - 1 fills its sweep row; where gamma_num is a large
+    # prime, the bounded order search refuses the build at once
+    for d in ("2", str(int(HUGE_P) - 1)):
+        code, out, err = run_fresh("formula", "-p", HUGE_P, "-d", d, "-r", "1",
                                    timeout=20)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: the delta0 table needs ")
-        assert len(err.splitlines()) == 1
+        assert (code, err) == (0, ""), d
+        assert out.startswith(f"p={HUGE_P} d={d} r=1: value = "), d
+    for cell in ((HUGE_P, "2", "100042"), ("5", "4", "500000000000000000")):
+        start = time.perf_counter()
+        assert run_fresh("formula", "-p", cell[0], "-d", cell[1], "-r", cell[2],
+                         timeout=20) == (3, "", BUILD_REFUSED)
+        assert time.perf_counter() - start < 2, cell
     code, out, err = run_fresh("sweep", "--p-list", HUGE_P, "--r-max", "1",
                                "--format", "csv", timeout=20)
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert code == 1 and len(rows) == 48  # every divisor d of p - 1
-    assert all(row["error"].startswith("BudgetExceededError: the delta0 table")
-               for row in rows)
-    assert err.startswith("error: 48 of 48 sweep cells failed")
+    assert (code, err) == (0, "")
+    assert len(rows) == 48 and all(row["error"] == "" for row in rows)
+
+
+BUILD_REFUSED = ("error: the closed-form build needs more than 10^7 entries, "
+                 "budget is 10000000\n")
+
+
+@pytest.mark.parametrize("cell, value", [
+    (("4999", "4998", "3"), "9367501"),
+    (("7919", "3959", "2"), "10449120"),
+    ((HUGE_P, "2", "1"), "5000000000000030"),
+], ids=("4999-4998-3", "7919-3959-2", "huge_p-2-1"))
+def test_new_reach_agrees_with_brute_force(cell, value):
+    # cells whose delta0 period, 1.2 * 10^7 and 3.1 * 10^7 entries, is past
+    # the default budget, and a huge p with d = 2; the closed value comes
+    # from the model that `formula` prints
+    p, d, r = cell
+    code, out, err = run_fresh("compute", "-p", p, "-d", d, "-r", r, "-n", "1",
+                               "--method", "both", timeout=20)
+    assert (code, err) == (0, "")
+    assert out == (f"p={p} d={d} r={r} n=1\nbrute = {value}\n"
+                   f"closed = {value}\nAGREE\n")
 
 
 OUT = object()  # stands for an --out path in a fresh directory
@@ -554,7 +579,7 @@ REFUSAL = re.compile(r"^error: .+ needs (\d+|more than 10\^\d+) "
 @pytest.mark.parametrize("argv", [
     ("compute", "-p", "5", "-d", "4", "-r", "2", "-n", "30000000",
      "--method", "brute"),
-    ("formula", "-p", HUGE_P, "-d", "2", "-r", "1"),
+    ("formula", "-p", HUGE_P, "-d", "2", "-r", "100042"),
     ("verify", "-p", HUGE_P, "-d", "2", "-r", "1"),
     ("verify", "-p", "10007", "-d", "5003", "-r", "1"),
     ("delta-table", "-p", "5", "-d", "4", "--i-max", "100000000"),

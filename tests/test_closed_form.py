@@ -118,6 +118,26 @@ def test_A_fn_periodicity():
                     assert A_fn(1 / x, p, n) == A_fn(1 / x, p, n + length)
 
 
+def test_A_fn_matches_its_written_out_sum():
+    # the centred sum inside A, one floor sum, against the direct sum of
+    # fractional parts, over one digit period of 1/x past its delay
+    extra = [TowerParams(*cell) for cell in ((61, 60, 7), (101, 100, 3))]
+    for params in full_grid() + extra:
+        p = params.p
+        for x in (params.tau, params.gamma):
+            den, x_inv = x.denominator, 1 / x
+            centre = Fraction(den - 1, 2 * den)
+            delay, length = longdiv_delay_period(x_inv, p)
+            for n in range(delay + length + 1):
+                scaled = x_inv * p**n
+                fp = scaled - math.floor(scaled)
+                centred = sum((x * k - math.floor(x * k) - centre
+                               for k in range(1, math.floor(scaled) % den + 1)),
+                              Fraction(0))
+                assert A_fn(x_inv, p, n) == (
+                    (x * (1 - fp) - 2 * centre) * fp / 2 + centred), (params, x, n)
+
+
 def test_F_fn_examples():
     params = P5D4R2
     tau_inv = Fraction(2, 3)
@@ -412,21 +432,19 @@ class SwappedSlope(TowerParams):
         return Fraction(self.p - 1, self.d)
 
 
-class MiscountedDelta0(TowerParams):
-    """delta0 prefix sums that count one extra indicator at the end."""
-
-    @property
-    def delta0_prefix(self):
-        sums = TowerParams(self.p, self.d, self.r).delta0_prefix
-        return sums[:-1] + (sums[-1] + 1,)
-
-
 def test_closed_model_self_checks_raise(monkeypatch):
     build = closed_model.__wrapped__  # bypass the cache: always a fresh build
     with pytest.raises(InvariantViolationError, match="quadratic"):
         build(SwappedSlope(5, 4, 2))
+    # P0 counts one extra indicator at m = 20, the end of the period at
+    # (7, 6) less one; the cache is bypassed, as for the build
+    module = importlib.import_module("anum.delta")  # anum.delta is the function
+    read = module.p0
+    monkeypatch.setattr(module, "p0",
+                        lambda params, m: read(params, m) + (m == 20))
     with pytest.raises(InvariantViolationError, match="delta0 average"):
-        delta0_average(MiscountedDelta0(7, 6, 1))
+        delta0_average.__wrapped__(TowerParams(7, 6, 1))
+    monkeypatch.undo()
     model = build(P5D4R2)
     period = model.claimed_period
     read = anum.closed_form._nu  # the reader behind the window and nu_value
@@ -456,16 +474,18 @@ def test_window_check_finds_a_value_that_turns_negative_past_the_delay(
         closed_model.__wrapped__(P5D4R2)
 
 
-def test_huge_p_build_is_refused_before_any_order_is_taken(monkeypatch):
-    # gamma_num at r = 100042 is the prime 500215000000003001291: taking the
-    # order of p modulo it by trial division would stall, so the delta0
-    # table refusal must come first
-    def unreachable(a, m):
-        raise AssertionError(f"multiplicative_order({a}, {m}) was called")
-
-    monkeypatch.setattr(anum.closed_form, "multiplicative_order", unreachable)
-    with pytest.raises(BudgetExceededError, match="delta0 table"):
+def test_huge_p_build_is_refused_by_the_bounded_order_search(monkeypatch):
+    # gamma_num at r = 100042 is the prime 500215000000003001291, and the
+    # order of p modulo it is past the budget: baby-step giant-step refuses
+    # it in about 2 * 3163 steps, with no factorisation
+    monkeypatch.setattr(importlib.import_module("anum.exact_arith"), "_factor",
+                        None)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=(
+            r"^the closed-form build needs more than 10\^7 entries, "
+            r"budget is 10000000$")):
         closed_model.__wrapped__(TowerParams(10**16 + 61, 2, 100042))
+    assert time.perf_counter() - start < 1
 
 
 BUILD_REFUSAL = "the closed-form build needs 20000204 entries, budget is 10000000"

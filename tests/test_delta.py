@@ -1,13 +1,12 @@
 """Indicator functions: pinned tables and their structural laws."""
 
-import importlib
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
+import anum.exact_arith
 from anum import (
-    BudgetExceededError,
     TowerParams,
     delta,
     delta0,
@@ -18,7 +17,7 @@ from anum import (
     mu,
 )
 from anum.checks import checks
-from anum.delta import mu_sum
+from anum.delta import mu_sum, p0
 from helpers import delta0_as_sequence, full_grid, mu_sum_columnwise, pd_grid
 
 # indicators over i = 1..19 for p=5, d=4
@@ -212,26 +211,56 @@ def test_delta0_average():
 
 
 def test_delta0_table_is_the_running_sum_of_delta0():
-    # the one-pass table against delta0 one index at a time; p = 1031 runs
-    # 530965 entries for an odd tau_den (d = 515) and an even d (d = 1030)
-    cells = [(p, d) for p in (3, 5, 7, 13, 61) for d in divisors(p - 1)]
-    for p, d in cells + [(1031, 515), (1031, 1030)]:
+    # P0 against the running sum of delta0, the column test, at every m: over
+    # two periods on the small cells, where whole periods are read as their
+    # closed total, and over one period of 530965 entries at p = 1031, for
+    # an odd tau_den (d = 515) and an even d (d = 1030)
+    cells = [(p, d, 2) for p in (3, 5, 7, 13, 61) for d in divisors(p - 1)]
+    for p, d, periods in cells + [(1031, 515, 1), (1031, 1030, 1)]:
         params = TowerParams(p, d, 1)
         block = params.tau_den * p
-        assert params.delta0_prefix == tuple(accumulate(
-            (delta0(params, i) for i in range(1, block + 1)), initial=0)), (p, d)
-        assert TowerParams(p, d, 9).delta0_prefix is params.delta0_prefix
+        for m, total in enumerate(accumulate(
+                (delta0(params, i) for i in range(1, periods * block + 1)),
+                initial=0)):
+            assert p0(params, m) == total, (p, d, m)
 
 
-def test_delta0_table_is_refused_past_the_budget(monkeypatch):
-    with pytest.raises(BudgetExceededError, match="needs 10000000000000061 entries"):
-        TowerParams(10**16 + 61, 2, 1).delta0_prefix
-    module = importlib.import_module("anum.delta")  # anum.delta is the function
-    monkeypatch.setattr(module, "DEFAULT_COLUMN_BUDGET", 21)  # 7 * tau_den 3
-    assert len(TowerParams(7, 6, 1).delta0_prefix) == 22
-    monkeypatch.setattr(module, "DEFAULT_COLUMN_BUDGET", 20)
-    with pytest.raises(BudgetExceededError, match="budget is 20"):
-        TowerParams(7, 6, 1).delta0_prefix
+def test_p0_at_both_ends_of_a_period_for_primes_to_10_4():
+    # every d | p - 1: P0 over the first 600 columns by the running sum, and
+    # over the last 600 of the period as its closed total less the column
+    # test's tail, so the floor sums meet both ends of each period
+    for p in (1009, 4999, 7919, 9973):
+        for d in divisors(p - 1):
+            params = TowerParams(p, d, 1)
+            block = params.tau_den * p
+            span = min(600, block)
+            head = accumulate((delta0(params, i) for i in range(1, span + 1)),
+                              initial=0)
+            for m, total in enumerate(head):
+                assert p0(params, m) == total, (p, d, m)
+            total = p0(params, block)
+            for m in range(block, block - span, -1):
+                assert p0(params, m) == total, (p, d, m)
+                total -= delta0(params, m)
+
+
+def test_p0_reads_no_table_and_no_budget(monkeypatch):
+    # a period of delta0 at p = 10^16 + 61 has up to 5 * 10^31 entries; P0
+    # runs its floor sums on m mod tau_den * p, builds nothing of that size,
+    # and a default budget of 0 refuses nothing
+    monkeypatch.setattr(anum.exact_arith, "DEFAULT_COLUMN_BUDGET", 0)
+    p = 10**16 + 61
+    for d in (2, (p - 1) // 2, p - 1):
+        params = TowerParams(p, d, 1)
+        td = params.tau_den
+        block = td * p
+        # delta0(block) = 0, so the floor sums at block - 1 give the total
+        assert p0(params, block - 1) == (p - 1) * (td - 1) // 2, d
+        for m in (1, 2, td, td + 1, p - 1, p, p + 1, block // 2, block - 1,
+                  block + 1, 5 * block + 3, p**3 + 7):
+            assert p0(params, m) - p0(params, m - 1) == delta0(params, m), (d, m)
+        assert delta0_average(params) == Fraction((p - 1) * (td - 1),
+                                                  2 * p * td), d
 
 
 def test_delta0_as_sequence():

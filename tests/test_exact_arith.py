@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import anum.exact_arith
 from anum import (
     TowerParams,
     digit,
@@ -175,6 +176,24 @@ def test_multiplicative_order_matches_naive_loop():
         multiplicative_order(61, 122)
     with pytest.raises(ValueError):
         multiplicative_order(3, 0)
+
+
+def test_multiplicative_order_refuses_past_its_search(monkeypatch):
+    # s = isqrt(min(B, m)) + 1 baby steps and as many giant steps reach
+    # every order up to s^2 > B; past s^2 the search refuses with None
+    orders = {(a, m): naive_order(a, m) for m in range(1, 3001)
+              for a in (3, 5, 7, 13, 61) if math.gcd(a, m) == 1}
+    for budget in (1, 2, 50, 63, 64, 99):
+        monkeypatch.setattr(anum.exact_arith, "DEFAULT_COLUMN_BUDGET", budget)
+        reach = (math.isqrt(budget) + 1) ** 2
+        for (a, m), order in orders.items():
+            assert multiplicative_order(a, m) == (
+                order if order <= reach else None), (budget, a, m)
+    # no factorisation: a prime modulus near 5 * 10^20 is refused at once
+    monkeypatch.undo()
+    monkeypatch.setattr(anum.exact_arith, "_factor", None)
+    assert multiplicative_order(10**16 + 61, 500215000000003001291) is None
+    assert multiplicative_order(5, 10000103) == 10000102  # 3163^2 > 10^7 + 102
 
 
 def big_int_frac_part(x, p, n):

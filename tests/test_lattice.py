@@ -16,7 +16,9 @@ from anum import (
     count_delta_region,
     delta,
     delta_tilde,
+    divisors,
     evaluate,
+    is_prime,
     last_column,
     mu,
     sum_decomposition,
@@ -24,7 +26,8 @@ from anum import (
     triangle_lattice_count,
 )
 from anum.delta import _count_text
-from anum.lattice import _delta_prefix, _floor_sum
+from anum.exact_arith import _floor_sum
+from anum.lattice import _delta_prefix
 from helpers import (
     count_delta_region_pointwise,
     count_tilde_delta,
@@ -185,6 +188,22 @@ def test_sum_decomposition_at_n_1000_matches_closed_form():
     params = TowerParams(13, 12, 20)
     assert (sum_decomposition(params, 1000).total
             == evaluate(closed_model(params), 1000))
+
+
+def test_cartier_laws_across_r():
+    # a^r(X_n) is the dimension of ker V^r, V the Cartier operator:
+    # ker V^r lies in ker V^(r+1), and V maps ker V^(r+2)/ker V^(r+1)
+    # injectively into ker V^(r+1)/ker V^r, so the count is monotone and
+    # concave in r; 292 sequences over r = 1..79
+    for p in filter(is_prime, range(3, 44)):
+        for d in divisors(p - 1):
+            for n in range(1, 5):
+                counts = [sum_decomposition(TowerParams(p, d, r), n).total
+                          for r in range(1, 80)]
+                steps = [b - a for a, b in zip(counts, counts[1:])]
+                assert min(steps) >= 0, (p, d, n)
+                assert all(a >= b for a, b in zip(steps, steps[1:])), (p, d, n)
+
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError) as info:
