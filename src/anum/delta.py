@@ -18,19 +18,23 @@ stripped from i:
                ones digit, otherwise 0
 
 where tau_den = d / gcd(d, 2) is the denominator of tau in lowest terms.
-With num = (p+1)*i, the first fractional digit is (num mod d)*(p-1)/d,
-since k*p/d = k*(p-1)/d + k/d with 0 <= k/d < 1 for k = num mod d, and
-the ones digit is floor(num/d) mod p; when tau_den | i, num mod d = 0 and
-the test gives 0 with no separate check.  `mu_sum` runs the collapsed test
-over a column range (a long range one residue class of i mod p at a
-time), and `delta`, `mu` and brute force all read it; `delta_lexicographic`
-keeps the raw sequence comparison as a slow reference, and their agreement
-is itself one of the package's property tests.
+With num = (p+1)*i, the first fractional digit is K = k*(p-1)/d for
+k = num mod d, since k*p/d = k*(p-1)/d + k/d with 0 <= k/d < 1, and the
+ones digit is o = floor(num/d) mod p; when tau_den | i, k = 0 and the test
+gives 0 with no separate check.  As num mod d*p = d*o + k, the test K > o,
+that is k*(p-1) > d*o, reads k*p > num mod d*p, with no division.
+`mu_sum` runs it over a column range, a long range one residue class of
+i mod p at a time.  num then runs through an arithmetic progression, so
+its floors sum to (len*(first + last)/2 - sum of k)/d, with the k the test
+reads.  `delta`, `mu` and brute force all read `mu_sum`;
+`delta_lexicographic` keeps the raw sequence comparison as a slow
+reference, and their agreement is itself one of the package's property
+tests.
 
-Cost, from the traced run `bench/run.py --workload query --seed 7
+Cost, from two traced runs `bench/run.py --workload query --seed 7
 --seconds 34 --trace 1` (2 vCPUs, Python 3.11.7): a brute-force column
-costs 228 ns in `mu_sum` (`lattice.ns_per_column`), and a scalar `mu`
-call, one column in order, 1010 ns (`delta.mu.ns_per_call`).
+costs 139-156 ns in `mu_sum` (`lattice.ns_per_column`), and a scalar `mu`
+call, one column in order, 670-1200 ns (`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period
@@ -165,41 +169,42 @@ def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
     p, d = params.p, params.d
     if hi - lo >= 16 * p:
         return _mu_sum_by_class(p, d, lo, hi)
-    q, step = p + 1, (p - 1) // d
+    q, dp = p + 1, d * p
     total = 0
     for i in range(lo + 1, hi + 1):
         num = q * i
-        floor_v = ones = num // d
+        floor_v = num // d
         if not i % p:
             j = i // p
             while not j % p:
                 j //= p
             num = q * j
-            ones = num // d
-        total += floor_v + (num % d * step > ones % p)
+        total += floor_v + (num % d * p > num % dp)
     return total
 
 
 def _mu_sum_by_class(p: int, d: int, lo: int, hi: int) -> int:
-    """`mu_sum` one residue class of i mod p at a time over num = (p+1)*i:
-    a multiple of p adds its floor here and its delta, stripped of one p,
-    at the next level (lo//p, hi//p]."""
-    q, step = p + 1, (p - 1) // d
+    """`mu_sum` one residue class of i mod p at a time, its floors from the
+    progression sum of num = (p+1)*i: a multiple of p adds its floor here
+    and its delta, stripped of one p, at the next level (lo//p, hi//p]."""
+    q, dp = p + 1, d * p
     total = 0
     for start in range(lo + 1, lo + p + 1):
         nums = range(q * start, q * hi + 1, q * p)
         if start % p:
+            rems = 0
             for num in nums:
-                ones = num // d
-                total += ones + (num % d * step > ones % p)
+                rems += (k := num % d)
+                total += k * p > num % dp
         else:
-            total += sum(num // d for num in nums)
+            rems = sum(num % d for num in nums)
+        total += (len(nums) * (nums[0] + nums[-1]) // 2 - rems) // d
     lo, hi = lo // p, hi // p
     while hi > lo:
         for start in range(lo + 1, min(hi, lo + p) + 1):
             if start % p:
                 for num in range(q * start, q * hi + 1, q * p):
-                    total += num % d * step > num // d % p
+                    total += num % d * p > num % dp
         lo, hi = lo // p, hi // p
     return total
 

@@ -156,6 +156,26 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
                         == mu_sum_columnwise(params, lo, lo + width)), (p, d, width)
 
 
+def test_one_comparison_delta_test_matches_the_digit_form():
+    # with num mod d*p = d*o + k, k = num mod d and o = floor(num/d) mod p
+    # the ones digit, K = k(p-1)/d > o iff k*p > num mod d*p; both sides
+    # read num only mod d*p, so every num in [0, d*p) covers every num
+    cells = pd_grid() + [(1031, d) for d in (1, 2, 515, 1030)]
+    cells += [(10007, d) for d in (2, 5003, 10006)]
+    for p, d in cells:
+        step, dp = (p - 1) // d, d * p
+        nums = range(dp)
+        if dp > 2 * 10**6:
+            # 5 * 10^7 and 10^8 nums: at fixed k both sides fall as o
+            # grows, so o = 0, K - 1, K, K + 1 and p - 1 decide every o
+            nums = [d * o + k for k in range(d)
+                    for o in {0, k * step - 1, k * step, k * step + 1, p - 1}
+                    if 0 <= o < p]
+        for num in nums:
+            assert ((num % d) * p > num % dp) == (
+                num % d * step > num // d % p), (p, d, num)
+
+
 def _assert_law_on_grid(name):
     """Run the `anum.checks` law called `name` on every pd_grid pair."""
     for p, d in pd_grid():

@@ -1,6 +1,7 @@
 """Brute-force counters against hand counts, per-point oracles, and the
 triangle identity."""
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -21,6 +22,7 @@ from anum import (
     is_prime,
     last_column,
     mu,
+    multiplicative_order,
     sum_decomposition,
     t_n,
     triangle_lattice_count,
@@ -203,6 +205,68 @@ def test_cartier_laws_across_r():
                 steps = [b - a for a, b in zip(counts, counts[1:])]
                 assert min(steps) >= 0, (p, d, n)
                 assert all(a >= b for a, b in zip(steps, steps[1:])), (p, d, n)
+
+
+EDGE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+HUGE_P = 10000000000000061
+
+
+def _r_with_valuation(p, v, rng):
+    """A random r >= 1 with v_p(gamma) = v: (p-1)r + p + 1 = 0 mod p^v,
+    solved for r mod p^v, and not 0 mod p^(v+1)."""
+    base = -(p + 1) * pow(p - 1, -1, p**v) % p**v
+    while True:
+        r = base + p**v * rng.randrange(0 if base else 1, 4 * p)
+        if ((p - 1) * r + p + 1) % p**(v + 1):
+            return r
+
+
+def _edge_cells():
+    """40 cells toward the edges: the pairing chain r -> (r+1)p + 1 from
+    r = 1 (v_p(gamma) = 1..4) at d = p - 1, (p - 1)/2 and 2, a huge p with
+    d = 2, and random draws of d in {1, 2, (p - 1)/2, p - 1} and v_p(gamma)
+    in 0..3."""
+    rng = random.Random(23)
+    cells = {(HUGE_P, 2, 1)}
+    for p, d in ((5, 4), (7, 3), (13, 2)):
+        r = 1
+        for _ in range(4):
+            cells.add((p, d, r))
+            r = (r + 1) * p + 1
+    while len(cells) < 40:
+        p = rng.choice(EDGE_PRIMES)
+        d = rng.choice((1, 2, (p - 1) // 2, p - 1))
+        cells.add((p, d, _r_with_valuation(p, rng.randrange(4), rng)))
+    return sorted(cells)
+
+
+def test_edge_draw_brute_force_matches_split_forms_and_closed_form():
+    # every n within a budget of 2 * 10^5 columns: brute force against the
+    # split forms, and past the delay against the closed form where the
+    # build's period L is at most 250; the huge p takes mu_sum's short loop
+    # at n = 1 (one column), the others its class walk once n is large
+    valuations, closed = set(), 0
+    for p, d, r in _edge_cells():
+        params = TowerParams(p, d, r)
+        valuations.add(params.gamma_vp)
+        order = multiplicative_order(p, params.gamma_num)
+        model = (closed_model(params)
+                 if order and math.lcm(order, 2) <= 250 else None)
+        n = 0
+        while True:
+            try:
+                brute = a_number_bruteforce(params, n, budget=2 * 10**5)
+            except BudgetExceededError:
+                break
+            assert brute.total == sum_decomposition(params, n).total, (
+                params, n)
+            if model and n >= model.delay:
+                assert brute.total == evaluate(model, n), (params, n)
+                closed += 1
+            n += 1
+        assert n >= 2, params
+    assert valuations == {0, 1, 2, 3, 4}
+    assert closed >= 100
 
 
 def test_budget_guard():
