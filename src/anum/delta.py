@@ -23,18 +23,22 @@ k = num mod d, since k*p/d = k*(p-1)/d + k/d with 0 <= k/d < 1, and the
 ones digit is o = floor(num/d) mod p; when tau_den | i, k = 0 and the test
 gives 0 with no separate check.  As num mod d*p = d*o + k, the test K > o,
 that is k*(p-1) > d*o, reads k*p > num mod d*p, with no division.
-`mu_sum` runs it over a column range, a long range one residue class of
-i mod p at a time.  num then runs through an arithmetic progression, so
-its floors sum to (len*(first + last)/2 - sum of k)/d, with the k the test
-reads.  `delta`, `mu` and brute force all read `mu_sum`;
-`delta_lexicographic` keeps the raw sequence comparison as a slow
-reference, and their agreement is itself one of the package's property
-tests.
+`mu_sum` strips no factor of p: p = 1 (mod d), so on a multiple of p,
+num mod d*p = p*(num mod d) and the test reads 0.  It runs the test at
+every p-adic level in column order instead, level k on j = i/p^k for every
+j in (lo//p^k, hi//p^k]: the multiples of p that one level reads as 0 are
+the columns of the next, since delta(p*j) = delta(j).  At level 0 num runs
+through an arithmetic progression, so the floors of tau*i sum to
+((p+1)*(sum of i) - sum of k)/d, with the k the test reads.  `delta`, `mu`
+and brute force all read `mu_sum`; `delta_lexicographic` keeps the raw
+sequence comparison as a slow reference, and their agreement is itself one
+of the package's property tests.
 
 Cost, from two traced runs `bench/run.py --workload query --seed 7
 --seconds 34 --trace 1` (2 vCPUs, Python 3.11.7): a brute-force column
-costs 139-156 ns in `mu_sum` (`lattice.ns_per_column`), and a scalar `mu`
-call, one column in order, 670-1200 ns (`delta.mu.ns_per_call`).
+costs 103-105 ns in `mu_sum` (`lattice.ns_per_column`), and a scalar `mu`
+call, one column and the levels above it, 717-768 ns
+(`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period
@@ -160,53 +164,28 @@ def p0(params: TowerParams, m: int) -> int:
 
 
 def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
-    """sum_{lo < i <= hi} mu(i), column by column: the collapsed delta test
-    on i with its factors of p stripped, plus floor(tau*i).  Empty when
-    hi <= lo.  A window of 16p columns or more goes to `_mu_sum_by_class`;
-    in a shorter one a class costs more to set up than it saves."""
+    """sum_{lo < i <= hi} mu(i): the collapsed delta test at every p-adic
+    level, in column order, plus the floors of tau*i from the progression
+    sum of num = (p+1)*i.  Level k tests j = i/p^k for every j in
+    (lo//p^k, hi//p^k]; the test reads 0 on a multiple of p, whose delta
+    the next level counts.  Empty when hi <= lo."""
     if lo < 0:
         raise ValueError(f"lo must be non-negative, got {lo}")
+    if hi <= lo:
+        return 0
     p, d = params.p, params.d
-    if hi - lo >= 16 * p:
-        return _mu_sum_by_class(p, d, lo, hi)
     q, dp = p + 1, d * p
-    total = 0
-    for i in range(lo + 1, hi + 1):
-        num = q * i
-        floor_v = num // d
-        if not i % p:
-            j = i // p
-            while not j % p:
-                j //= p
-            num = q * j
-        total += floor_v + (num % d * p > num % dp)
-    return total
-
-
-def _mu_sum_by_class(p: int, d: int, lo: int, hi: int) -> int:
-    """`mu_sum` one residue class of i mod p at a time, its floors from the
-    progression sum of num = (p+1)*i: a multiple of p adds its floor here
-    and its delta, stripped of one p, at the next level (lo//p, hi//p]."""
-    q, dp = p + 1, d * p
-    total = 0
-    for start in range(lo + 1, lo + p + 1):
-        nums = range(q * start, q * hi + 1, q * p)
-        if start % p:
-            rems = 0
-            for num in nums:
-                rems += (k := num % d)
-                total += k * p > num % dp
-        else:
-            rems = sum(num % d for num in nums)
-        total += (len(nums) * (nums[0] + nums[-1]) // 2 - rems) // d
+    span = q * (hi * (hi + 1) - lo * (lo + 1)) // 2
+    rems = ups = 0
+    for num in range(q * (lo + 1), q * hi + 1, q):
+        rems += (k := num % d)
+        ups += k * p > num % dp
     lo, hi = lo // p, hi // p
     while hi > lo:
-        for start in range(lo + 1, min(hi, lo + p) + 1):
-            if start % p:
-                for num in range(q * start, q * hi + 1, q * p):
-                    total += num % d * p > num % dp
+        for num in range(q * (lo + 1), q * hi + 1, q):
+            ups += num % d * p > num % dp
         lo, hi = lo // p, hi // p
-    return total
+    return (span - rems) // d + ups
 
 
 def delta(params: TowerParams, i: int) -> int:

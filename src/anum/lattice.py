@@ -5,7 +5,7 @@ The counters are the ground truth that every closed form in the package
 is tested against.  Brute force takes the triangle bulk in closed form and
 walks only the delta-region columns t_n < i <= floor(p^n/tau), that is
 O(d * p^n * (1/(p+1) - 1/((p-1)r + p + 1))) small-integer operations, in
-one `delta.mu_sum` call at about 150 ns a column (`lattice.ns_per_column`
+one `delta.mu_sum` call at about 105 ns a column (`lattice.ns_per_column`
 from `bench/run.py --workload query --seed 7 --seconds 34 --trace 1`, 2
 vCPUs).  All enumeration is guarded by an
 explicit column budget so a mistyped n fails fast instead of hanging; a

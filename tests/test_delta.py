@@ -121,10 +121,9 @@ LONG_WINDOW_CENTRE = {5: 5**8, 13: 13**5}
 
 
 def test_mu_sum_residue_walk_against_columnwise_loop():
-    # short windows next to multiples of p (fewer columns than residue
-    # classes, taken in order), windows either side of the 16p columns at
-    # which the class walk starts, windows spanning several powers of p,
-    # and 10^5 columns
+    # short windows next to multiples of p, windows of about 16p columns,
+    # windows spanning several powers of p, and 10^5 columns, so that the
+    # deeper levels hold no column, a few, or many
     for p in (3, 5, 7, 13, 61):
         for d in divisors(p - 1):
             params = TowerParams(p, d, 1)
@@ -145,8 +144,7 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
             for lo, hi in windows:
                 assert (mu_sum(params, lo, hi)
                         == mu_sum_columnwise(params, lo, hi)), (p, d, lo, hi)
-    # large d, (p - 1)/2 and p - 1, take the class walk like any d: windows
-    # across p^2 either side of its 16p-column switch
+    # large d, (p - 1)/2 and p - 1: windows of about 16p columns across p^2
     for p, ds in ((1031, (515, 1030)), (10007, (5003, 10006))):
         for d in ds:
             params = TowerParams(p, d, 1)
@@ -154,6 +152,23 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
             for width in (16 * p - 1, 16 * p, 16 * p + 1, 16 * p + 3):
                 assert (mu_sum(params, lo, lo + width)
                         == mu_sum_columnwise(params, lo, lo + width)), (p, d, width)
+    # a huge p: windows of up to five columns at 0 and just below p, p^2
+    # and p^3, where the deeper levels hold one column or none
+    p = 10000000000000061
+    for d in (1, 2):
+        params = TowerParams(p, d, 1)
+        for lo in (0, p - 3, p**2 - 2, p**3 - 1):
+            for width in range(6):
+                assert (mu_sum(params, lo, lo + width)
+                        == mu_sum_columnwise(params, lo, lo + width)), (d, lo, width)
+    # windows of p - 1, p and p + 1 columns across p^2: level 1 holds the
+    # one column p, and level 2 the column 1
+    p = 1000003
+    params = TowerParams(p, 2, 1)
+    for width in (p - 1, p, p + 1):
+        lo = p**2 - width // 2
+        assert (mu_sum(params, lo, lo + width)
+                == mu_sum_columnwise(params, lo, lo + width)), width
 
 
 def test_one_comparison_delta_test_matches_the_digit_form():
@@ -174,6 +189,10 @@ def test_one_comparison_delta_test_matches_the_digit_form():
         for num in nums:
             assert ((num % d) * p > num % dp) == (
                 num % d * step > num // d % p), (p, d, num)
+        # p = 1 (mod d), so on a multiple of p, num mod d*p is p*(num mod d):
+        # the test reads 0, and `mu_sum` counts its delta at the next level
+        for num in range(0, dp, p):
+            assert num % d * p <= num % dp, (p, d, num)
 
 
 def _assert_law_on_grid(name):

@@ -243,8 +243,8 @@ def _edge_cells():
 def test_edge_draw_brute_force_matches_split_forms_and_closed_form():
     # every n within a budget of 2 * 10^5 columns: brute force against the
     # split forms, and past the delay against the closed form where the
-    # build's period L is at most 250; the huge p takes mu_sum's short loop
-    # at n = 1 (one column), the others its class walk once n is large
+    # build's period L is at most 250; the huge p counts one column at n = 1,
+    # the others reach mu_sum's deeper p-adic levels once n is large
     valuations, closed = set(), 0
     for p, d, r in _edge_cells():
         params = TowerParams(p, d, r)
