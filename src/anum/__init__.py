@@ -18,7 +18,6 @@ from .analysis import (
 from .closed_form import (
     A_fn,
     ClosedFormModel,
-    F_fn,
     closed_model,
     delta_sum_closed,
     delta_sum_linear_coeff,
@@ -71,7 +70,6 @@ __all__ = [
     "ClosedFormModel",
     "DEFAULT_COLUMN_BUDGET",
     "EventuallyPeriodicSeq",
-    "F_fn",
     "InvariantViolationError",
     "PAdicForm",
     "PairingRecord",

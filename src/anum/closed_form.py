@@ -20,9 +20,15 @@ P0(M mod tau_den p) - <delta0> (M mod tau_den p) gives
     S_delta(x, n) = <delta0> (p^{n+1} - 1) / ((p-1) x) + sum_{e<=n} g(e),
     g(e) = F(1/x, e) - <delta0> {p^e/x},
 
-with g eventually periodic in e.  g is formed only in `_residues`, which
-takes its average c = <g> as the linear coefficient and B(x, n) =
-sum_{e<=n} g(e) - <delta0>/((p-1) x) - c n as the residue, and
+with g eventually periodic in e.  g is formed only in `_residues`: with
+1/x = a/b,
+
+    g(e) = P0(m_e) - <delta0> (m_e + rho_e/b),
+
+where rho_e = a p^e mod b and m_e = floor(a p^e/b) mod tau_den p follow
+two long-division recurrences, with no pow (`_delta_terms`).  `_residues`
+takes the average c = <g> as the linear coefficient and
+B(x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x) - c n as the residue, and
 `test_residue_tables_match_direct_evaluation` certifies both against
 `floor_sum_closed` and `delta_sum_closed`, the split forms of the two sums,
 which read none of A, F and g.
@@ -117,7 +123,11 @@ def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
         P0(M) - M <delta0>,  M = floor(x_inv p^e) mod (tau_den p),
 
     with P0 the three floor sums of `delta.p0`.  Periodic in e one step
-    past the delay of x_inv, with its digit period.
+    past the delay of x_inv, with its digit period.  No build calls it: a
+    build reads M off a remainder recurrence (`_delta_terms`), and the
+    tests check that against their own copy of this form
+    (`tests/helpers.F_fn`).  It stays here, outside the package's public
+    names, because `bench/tracer.py` spans it by name.
     """
     if e < 0:
         raise ValueError(f"e must be non-negative, got {e}")
@@ -163,6 +173,24 @@ def lambda_r(params: TowerParams) -> Fraction:
     return closed_model(params).lam
 
 
+def _delta_terms(x: Fraction, params: TowerParams, count: int) -> list[Fraction]:
+    """g(e) = F(1/x, e) - <delta0> {p^e/x} for e < count: with 1/x = a/b,
+    P0(m_e) - <delta0> (m_e + rho_e/b), where rho_e = a*p^e mod b and
+    m_e = floor(a*p^e/b) mod tau_den*p.  Both come from one long-division
+    step each, with no pow: carry, rho = divmod(p*rho, b), then
+    m = (p*m + carry) mod tau_den*p."""
+    p, block = params.p, params.tau_den * params.p
+    avg = delta0_average(params)
+    a, b = x.denominator, x.numerator
+    m, rho = a // b % block, a % b
+    terms = []
+    for _ in range(count):
+        terms.append(p0(params, m) - avg * (m + Fraction(rho, b)))
+        carry, rho = divmod(p * rho, b)
+        m = (p * m + carry) % block
+    return terms
+
+
 @lru_cache(maxsize=4)
 def _residues(x: Fraction, p: int,
               d: int) -> tuple[Fraction, int, tuple[Fraction, ...]]:
@@ -171,11 +199,12 @@ def _residues(x: Fraction, p: int,
     B(x, n) for n < v + L, with v = v_p(x) and L the digit period of 1/x,
     after checking R(n + L) = R(n) over the second period.
 
-    One pass over e < v + 2L forms g(e) = F(1/x, e) - <delta0> {p^e/x},
-    reads c off one cycle of it (from e = v + 1) and B as its running sum
-    less <delta0>/((p-1) x) and c n.  The key is (x, p, d) and never r: tau
-    is a function of (p, d), so every r and every partner reads one tau
-    table, while a gamma table is read by its own build and `nu_value`.
+    One pass over e < v + 2L forms g(e) = F(1/x, e) - <delta0> {p^e/x}
+    from the remainder recurrences of `_delta_terms`, reads c off one cycle
+    of it (from e = v + 1) and B as its running sum less <delta0>/((p-1) x)
+    and c n.  The key is (x, p, d) and never r: tau is a function of
+    (p, d), so every r and every partner reads one tau table, while a gamma
+    table is read by its own build and `nu_value`.
     v + 2L entries past the default budget are refused before any entry:
     `delta_sum_linear_coeff` reaches this table without `_require_build`."""
     params = TowerParams(p, d, 1)  # the delta side reads p and d alone
@@ -185,8 +214,7 @@ def _residues(x: Fraction, p: int,
     require_budget(v + 2 * period, None, what, "entries")
     avg = delta0_average(params)
     x_inv = 1 / x
-    g = [F_fn(x_inv, params, e) - avg * frac_part_pn(x_inv, p, e)
-         for e in range(v + 2 * period)]
+    g = _delta_terms(x, params, v + 2 * period)
     c = sum(g[v + 1:v + 1 + period]) / period
     base = avg / ((p - 1) * x)
     r = [A_fn(x_inv, p, n) - (total - base - c * n)

@@ -5,7 +5,8 @@ delta sums are term-by-term loops, column sums of mu run the collapsed
 delta test one column at a time, the triangle and the delta region are
 counted point by point with exact comparisons, digit periods come from
 long-division remainder cycling, digits from `digit` over one period,
-and rationals are reassembled from their p-adic forms.
+rationals are reassembled from their p-adic forms, and the paper's
+partial-period correction F reads floor(x_inv p^e) by exact division.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from anum import (
     mu,
     t_n,
 )
+from anum.delta import p0
 
 
 def run_python(*args, timeout):
@@ -186,6 +188,16 @@ def special_r_eq_p_plus_1(params):
     nu = Fraction(params.p - 1, 2) * (1 / params.tau - 1)
     return ClosedFormModel(params=params, quad_coeff=quad, lam=Fraction(0),
                            delay=1, claimed_period=1, nu_table=(nu,))
+
+
+def F_fn(x_inv, params, e):
+    """The paper's partial-period correction of the delta0 prefix sum at
+    exponent e: P0(M) - M <delta0>, M = floor(x_inv p^e) mod tau_den p,
+    with floor(x_inv p^e) formed whole (no `floor_pn_mod`)."""
+    x_inv = Fraction(x_inv)
+    block = params.tau_den * params.p
+    m = x_inv.numerator * params.p**e // x_inv.denominator % block
+    return p0(params, m) - m * delta0_average(params)
 
 
 def delta0_as_sequence(params):

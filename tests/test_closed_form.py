@@ -11,7 +11,6 @@ import anum.closed_form
 from anum import (
     A_fn,
     BudgetExceededError,
-    F_fn,
     InvariantViolationError,
     PreDelayError,
     TowerParams,
@@ -27,10 +26,12 @@ from anum import (
     lambda_r,
     minimal_nu_period,
     model_to_dict,
+    p_adic_decompose,
     sum_decomposition,
 )
 from anum.checks import checks
 from helpers import (
+    F_fn,
     digit_average,
     floor_inv_pn,
     full_grid,
@@ -199,6 +200,7 @@ def test_split_sums_read_no_residue_code(monkeypatch):
     exact_arith = importlib.import_module("anum.exact_arith")
     for module, name in ((anum.closed_form, "A_fn"), (anum.closed_form, "F_fn"),
                          (anum.closed_form, "_residues"),
+                         (anum.closed_form, "_delta_terms"),
                          (anum.closed_form, "frac_part_pn"),
                          (anum.closed_form, "floor_pn_mod"),
                          (exact_arith, "frac_part_pn"),
@@ -594,18 +596,41 @@ def test_planted_residue_faults_raise(monkeypatch, fresh_residues):
 
 
 def count_residue_calls(monkeypatch, params):
-    """Build params afresh and count A_fn and F_fn calls per slope."""
-    calls = {"A tau": 0, "A gamma": 0, "F tau": 0, "F gamma": 0}
+    """Build params afresh and count, per slope, the A_fn calls and the P0
+    reads of `_delta_terms`, and in all the p^n digit helper calls."""
+    calls = {"A tau": 0, "A gamma": 0, "P0 tau": 0, "P0 gamma": 0,
+             "frac_part_pn": 0, "floor_pn_mod": 0}
+    slope = []  # the slope whose delta terms are being formed
 
-    def counted(name, fn):
-        def call(x_inv, *args):
-            calls[f"{name} {'tau' if x_inv == 1 / params.tau else 'gamma'}"] += 1
-            return fn(x_inv, *args)
+    def name(x):
+        return "tau" if x == params.tau else "gamma"
+
+    def count_A(x_inv, *args):
+        calls[f"A {name(1 / x_inv)}"] += 1
+        return A_fn(x_inv, *args)
+
+    def count_terms(x, *args):
+        slope.append(name(x))
+        return terms(x, *args)
+
+    def count_p0(*args):
+        calls[f"P0 {slope[-1]}"] += 1
+        return p0(*args)
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
         return call
 
+    module = anum.closed_form
+    terms, p0 = module._delta_terms, module.p0
     with monkeypatch.context() as patch:
-        patch.setattr(anum.closed_form, "A_fn", counted("A", A_fn))
-        patch.setattr(anum.closed_form, "F_fn", counted("F", F_fn))
+        patch.setattr(module, "A_fn", count_A)
+        patch.setattr(module, "_delta_terms", count_terms)
+        patch.setattr(module, "p0", count_p0)
+        for helper in ("frac_part_pn", "floor_pn_mod"):
+            patch.setattr(module, helper, counted(helper, getattr(module, helper)))
         model = closed_model.__wrapped__(params)
     return model, calls
 
@@ -613,14 +638,41 @@ def count_residue_calls(monkeypatch, params):
 def test_build_evaluates_each_residue_table_once(monkeypatch, fresh_residues):
     # v + 2 L_gamma evaluations on gamma: (31, 30, 100) has v = 0 and
     # L_gamma = 378; (5, 4, 46) has v = 1 and L_gamma = 9 (claimed period 18).
-    # The tau table depends on (p, d) alone: a second r there evaluates none
+    # The tau table depends on (p, d) alone: a second r there evaluates none.
+    # Each entry reads A_fn once and P0 once; the p^n digit helpers are A's
+    # alone, since the delta side runs on long-division remainders
     for cell, period, gamma_calls, tau_calls in (((31, 30, 100), 378, 756, 4),
                                                  ((31, 30, 7), 110, 110, 0),
                                                  ((5, 4, 46), 18, 19, 4)):
         model, calls = count_residue_calls(monkeypatch, TowerParams(*cell))
         assert model.claimed_period == period
-        assert calls["A tau"] == calls["F tau"] == tau_calls, calls
-        assert calls["A gamma"] == calls["F gamma"] == gamma_calls, calls
+        assert calls["A tau"] == calls["P0 tau"] == tau_calls, calls
+        assert calls["A gamma"] == calls["P0 gamma"] == gamma_calls, calls
+        assert (calls["frac_part_pn"] == calls["floor_pn_mod"]
+                == tau_calls + gamma_calls), calls
+
+
+def test_delta_terms_match_the_paper_form():
+    # g(e) = F(1/x, e) - <delta0> {p^e / x} for e < v + 2L: the remainder
+    # recurrences against p^e formed whole (F) and one pow (the fractional
+    # part).  Past the grid: v_p(gamma) = 2 at (3, 2, 7),
+    # (5, 4, 11), (7, 2, 15) and (13, 12, 27), 3 at (5, 4, 61) and (3, 2, 25),
+    # and a 17-digit p with tau_den = 1 and tau_den = (p - 1)/2
+    big = 10**16 + 61
+    extra = [TowerParams(*cell) for cell in (
+        (3, 2, 7), (3, 2, 25), (5, 4, 11), (5, 4, 61), (7, 2, 15), (13, 12, 27),
+        (big, 2, 1), (big, 2, big + 1), (big, big - 1, 1),
+        (big, big - 1, big + 1))]
+    for params in full_grid() + extra:
+        p, avg = params.p, delta0_average(params)
+        for x in (params.tau, params.gamma):
+            form = p_adic_decompose(x, p)
+            count = form.v + 2 * longdiv_delay_period(1 / x, p)[1]
+            terms = anum.closed_form._delta_terms(x, params, count)
+            assert len(terms) == count
+            for e, term in enumerate(terms):
+                paper = F_fn(1 / x, params, e) - avg * frac_part_pn(1 / x, p, e)
+                assert term == paper, (params, x, e)
 
 
 def test_build_reads_each_residue_table_once(monkeypatch, fresh_residues):
