@@ -59,7 +59,6 @@ from .lattice import (
     t_n,
     triangle_lattice_count,
 )
-from .periodic_sum import EventuallyPeriodicSeq, prefix_sum
 
 __version__ = "0.1.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "BudgetExceededError",
     "ClosedFormModel",
     "DEFAULT_COLUMN_BUDGET",
-    "EventuallyPeriodicSeq",
     "InvariantViolationError",
     "PAdicForm",
     "PairingRecord",
@@ -105,7 +103,6 @@ __all__ = [
     "multiplicative_order",
     "nu_value",
     "p_adic_decompose",
-    "prefix_sum",
     "sum_decomposition",
     "sweep",
     "t_n",

@@ -20,7 +20,6 @@ comparison as data (partner_period_equal) and never asserts it.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .closed_form import closed_model, lambda_r, minimal_nu_period
 from .delta import TowerParams
@@ -63,33 +62,33 @@ def minimal_period(params: TowerParams) -> PeriodReport:
     table is invariant; that table's periodicity was checked by
     closed_model over two bound periods, and nothing here certifies it
     independently (ROADMAP item 2).  The split forms give the residuals
-    for n = 0 .. delay+1 and must match the table at delay and delay+1.
-    The delay is then walked down while the residual one period later, read
-    from the split forms below the formula delay and from the table at and
-    past it, still agrees.  A build past the default budget is refused
-    by `closed_model` before it starts, as `formula` refuses it.
+    for n = 0 .. delay+1, as integers over the model's D, and must match
+    the table at delay and delay+1.  The delay is then walked down while
+    the residual one period later, read from the split forms below the
+    formula delay and from the table at and past it, still agrees.  A
+    build past the default budget is refused by `closed_model` before it
+    starts, as `formula` refuses it.
     """
     model = closed_model(params)
-    bound = model.claimed_period
-    start = model.delay
-    table = model.nu_table
-    p = params.p
-    split = [sum_decomposition(params, n).total - model.quad_coeff * p**(2 * n)
-             - model.lam * n for n in range(start + 2)]
+    bound, start, den, nu = (model.claimed_period, model.delay, model.den,
+                             model.nu)
+    p, lam = params.p, model.lam
+    quad = int(model.quad_coeff * den)
+    split = [sum_decomposition(params, n).total * den - quad * p**(2 * n)
+             - int(lam * den) * n for n in range(start + 2)]
     for n in (start, start + 1):
-        if split[n] != table[n % bound]:
+        if split[n] != nu[n % bound]:
             raise InvariantViolationError(
                 f"split-form residual at n={n} disagrees with the nu table")
 
-    def residual(n: int) -> Fraction:
-        return split[n] if n < start else table[n % bound]
+    def residual(n: int) -> int:
+        return split[n] if n < start else nu[n % bound]
 
     period = minimal_nu_period(model)
     delay = start
     while delay > 0 and residual(delay - 1) == residual(delay - 1 + period):
         delay -= 1
 
-    lam = model.lam
     lam_times = lam * period
     return PeriodReport(
         params=params,
@@ -103,7 +102,7 @@ def minimal_period(params: TowerParams) -> PeriodReport:
         lambda_times_period=lam_times,
         lambda_integral=(lam_times.denominator == 1),
         pairing_partner=(params.r + 1) * p + 1,
-        nu_values=table[:period],
+        nu_values=model.nu_table[:period],
     )
 
 

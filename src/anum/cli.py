@@ -255,7 +255,8 @@ def _int_list(text, flag, noun, check):
         if not piece:
             continue
         try:
-            value = int(piece)
+            with _unlimited_int_digits():
+                value = int(piece)
         except ValueError:
             raise UsageError(f"{flag} entries must be integers, got {piece!r}")
         check(value)
@@ -267,7 +268,8 @@ def _int_list(text, flag, noun, check):
 
 def _check_prime(p):
     try:
-        odd_prime = p != 2 and is_prime(p)
+        with _unlimited_int_digits():  # the message may echo p
+            odd_prime = p != 2 and is_prime(p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if not odd_prime:
@@ -280,7 +282,7 @@ def _d_values(mode, p):
     if mode.startswith("list:"):
         def check(d):
             if d < 1 or (p - 1) % d != 0:
-                raise UsageError(f"d must divide p-1: got d={d}, p={p}")
+                raise UsageError(f"d must divide p-1: got d={_int_text(d)}, p={p}")
         return _int_list(mode[len("list:"):], "--d-mode list", "d", check)
     raise UsageError(f"--d-mode must be all-divisors or list:D1,D2,..., got {mode!r}")
 

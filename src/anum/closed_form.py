@@ -20,18 +20,16 @@ P0(M mod tau_den p) - <delta0> (M mod tau_den p) gives
     S_delta(x, n) = <delta0> (p^{n+1} - 1) / ((p-1) x) + sum_{e<=n} g(e),
     g(e) = F(1/x, e) - <delta0> {p^e/x},
 
-with g eventually periodic in e.  g is formed only in `_residues`: with
-1/x = a/b,
-
-    g(e) = P0(m_e) - <delta0> (m_e + rho_e/b),
-
-where rho_e = a p^e mod b and m_e = floor(a p^e/b) mod tau_den p follow
-two long-division recurrences, with no pow (`_delta_terms`).  `_residues`
-takes the average c = <g> as the linear coefficient and
-B(x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x) - c n as the residue, and
-`test_residue_tables_match_direct_evaluation` certifies both against
-`floor_sum_closed` and `delta_sum_closed`, the split forms of the two sums,
-which read none of A, F and g.
+with g eventually periodic in e.  A and g are formed only in `_residues`,
+from one walk over the digits of 1/x = a/b (`_digit_walk`): rho_e =
+a p^e mod b and m_e = floor(a p^e/b) mod tau_den p follow two
+long-division recurrences, with no pow.  With fp = {p^e/x} = rho_e/b, A
+reads fp and m_e mod x_den (`_a_value`), and g(e) = P0(m_e) - <delta0>
+(m_e + fp).  `_residues` takes the average c = <g> as the linear
+coefficient and B(x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x) - c n as
+the residue, and `test_residue_tables_match_direct_evaluation` certifies
+both against `floor_sum_closed` and `delta_sum_closed`, the split forms of
+the two sums, which read none of A, F and g.
 
 On the tau side the linear coefficient vanishes identically, so the count
 
@@ -47,10 +45,11 @@ the brute-force counter there.  Each slope has one residue table
 (`_residues`), keyed by (x, p, d), so every r reads one tau table (v = 0,
 L_tau | 2); lam is the gamma table's c.  A build reads the two tables
 once and indexes its 2L nu window in them, through the reader `nu_value`
-also uses.  The value is checked over the common denominator D of quad, lam
-and the nu table, where D * value is an integer expression: directly at
-the delay, then by the recurrence D v(n+1) = p^2 D v(n) + E(n) with E(n)
-a small integer (`_check_window`); `evaluate` computes D * value directly.
+also uses.  The model stores nu as integers over the common denominator D
+of quad, lam and the nu table, so D * value is an integer expression: it
+is checked directly at the delay, then by the recurrence D v(n+1) =
+p^2 D v(n) + E(n) with E(n) a small integer (`_check_window`); `evaluate`
+computes D * value directly.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from .delta import (TowerParams, _budget_error, _count_text, _more_than,
@@ -77,6 +76,15 @@ from .exact_arith import (
 from .lattice import _delta_prefix
 
 
+def _a_value(x: Fraction, fp: Fraction, m: int) -> Fraction:
+    """A from x = X/den, fp = {p^n/x} and M = floor(p^n/x) mod den: the
+    formula of `A_fn`, which it and the digit walk share."""
+    num, den = x.numerator, x.denominator
+    head = (Fraction(-(den - 1), den) + x * (1 - fp)) * fp / 2
+    return head + Fraction(num * m * (m + 1) - m * (den - 1)
+                           - 2 * den * _floor_sum(m, den, num, num), 2 * den)
+
+
 def A_fn(x_inv: Fraction, p: int, n: int) -> Fraction:
     """Periodic residue of the floor sum.  With x = 1/x_inv = X/den in
     lowest terms (den is prime to p exactly when v_p(x) >= 0) and
@@ -87,20 +95,17 @@ def A_fn(x_inv: Fraction, p: int, n: int) -> Fraction:
 
     where {x k} = (X k - den floor(X k/den))/den makes the sum one floor
     sum.  Periodic in n from the delay of x_inv on, with its digit period.
+    No build calls it: a build reads both off the digit walk (`_digit_walk`).
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     x_inv = Fraction(x_inv)
     x = 1 / x_inv
-    num, den = x.numerator, x.denominator
-    if den % p == 0:
+    if x.denominator % p == 0:
         raise ValueError(
             f"1/x_inv must have non-negative p-adic valuation, got {x}")
-    fp = frac_part_pn(x_inv, p, n)
-    head = (Fraction(-(den - 1), den) + x * (1 - fp)) * fp / 2
-    m = floor_pn_mod(x_inv, p, n, den)
-    return head + Fraction(num * m * (m + 1) - m * (den - 1)
-                           - 2 * den * _floor_sum(m, den, num, num), 2 * den)
+    return _a_value(x, frac_part_pn(x_inv, p, n),
+                    floor_pn_mod(x_inv, p, n, x.denominator))
 
 
 def floor_sum_closed(x: Fraction | int, p: int, n: int) -> int:
@@ -124,7 +129,7 @@ def F_fn(x_inv: Fraction, params: TowerParams, e: int) -> Fraction:
 
     with P0 the three floor sums of `delta.p0`.  Periodic in e one step
     past the delay of x_inv, with its digit period.  No build calls it: a
-    build reads M off a remainder recurrence (`_delta_terms`), and the
+    build reads M off a remainder recurrence (`_digit_walk`), and the
     tests check that against their own copy of this form
     (`tests/helpers.F_fn`).  It stays here, outside the package's public
     names, because `bench/tracer.py` spans it by name.
@@ -173,22 +178,22 @@ def lambda_r(params: TowerParams) -> Fraction:
     return closed_model(params).lam
 
 
-def _delta_terms(x: Fraction, params: TowerParams, count: int) -> list[Fraction]:
-    """g(e) = F(1/x, e) - <delta0> {p^e/x} for e < count: with 1/x = a/b,
-    P0(m_e) - <delta0> (m_e + rho_e/b), where rho_e = a*p^e mod b and
-    m_e = floor(a*p^e/b) mod tau_den*p.  Both come from one long-division
-    step each, with no pow: carry, rho = divmod(p*rho, b), then
-    m = (p*m + carry) mod tau_den*p."""
+def _digit_walk(x: Fraction, params: TowerParams, count: int):
+    """Yield (A(1/x, e), g(e)) for e < count.  With 1/x = a/b, rho_e =
+    a*p^e mod b and m_e = floor(a*p^e/b) mod tau_den*p take one
+    long-division step each, with no pow: carry, rho = divmod(p*rho, b),
+    then m = (p*m + carry) mod tau_den*p.  A reads fp = {p^e/x} = rho_e/b
+    and m_e mod a (a | tau_den*p), and g(e) = F(1/x, e) - <delta0> fp is
+    P0(m_e) - <delta0> (m_e + fp)."""
     p, block = params.p, params.tau_den * params.p
     avg = delta0_average(params)
     a, b = x.denominator, x.numerator
     m, rho = a // b % block, a % b
-    terms = []
     for _ in range(count):
-        terms.append(p0(params, m) - avg * (m + Fraction(rho, b)))
+        fp = Fraction(rho, b)
+        yield _a_value(x, fp, m % a), p0(params, m) - avg * (m + fp)
         carry, rho = divmod(p * rho, b)
         m = (p * m + carry) % block
-    return terms
 
 
 @lru_cache(maxsize=4)
@@ -199,10 +204,10 @@ def _residues(x: Fraction, p: int,
     B(x, n) for n < v + L, with v = v_p(x) and L the digit period of 1/x,
     after checking R(n + L) = R(n) over the second period.
 
-    One pass over e < v + 2L forms g(e) = F(1/x, e) - <delta0> {p^e/x}
-    from the remainder recurrences of `_delta_terms`, reads c off one cycle
-    of it (from e = v + 1) and B as its running sum less <delta0>/((p-1) x)
-    and c n.  The key is (x, p, d) and never r: tau is a function of
+    One digit walk over e < v + 2L (`_digit_walk`) forms A(1/x, e) and
+    g(e) = F(1/x, e) - <delta0> {p^e/x}; c is read off one cycle of g
+    (from e = v + 1) and B as its running sum less <delta0>/((p-1) x) and
+    c n.  The key is (x, p, d) and never r: tau is a function of
     (p, d), so every r and every partner reads one tau table, while a gamma
     table is read by its own build and `nu_value`.
     v + 2L entries past the default budget are refused before any entry:
@@ -212,13 +217,11 @@ def _residues(x: Fraction, p: int,
     what = f"the residue table of slope {x}"
     v, period = form.v, _digit_period(p, form.num, what)
     require_budget(v + 2 * period, None, what, "entries")
-    avg = delta0_average(params)
-    x_inv = 1 / x
-    g = _delta_terms(x, params, v + 2 * period)
+    a, g = zip(*_digit_walk(x, params, v + 2 * period))
     c = sum(g[v + 1:v + 1 + period]) / period
-    base = avg / ((p - 1) * x)
-    r = [A_fn(x_inv, p, n) - (total - base - c * n)
-         for n, total in enumerate(accumulate(g))]
+    base = delta0_average(params) / ((p - 1) * x)
+    r = [a_n - (total - base - c * n)
+         for n, (a_n, total) in enumerate(zip(a, accumulate(g)))]
     if r[v + period:] != r[v:v + period]:
         raise InvariantViolationError(
             f"residue of slope {x} not periodic with period {period} from n={v}")
@@ -266,21 +269,20 @@ def _require_build(params: TowerParams):
 
 class ClosedFormModel(namedtuple(
         "ClosedFormModel",
-        "params quad_coeff lam delay claimed_period nu_table")):
-    """Assembled right side quad*p^{2n} + lam*n + nu_table[n mod claimed_period],
-    valid for n >= delay.
+        "params quad_coeff lam delay claimed_period den nu")):
+    """quad*p^{2n} + lam*n + nu[n mod claimed_period]/den, valid for n >= delay.
 
-    nu_table is indexed by n mod claimed_period; its stability was
-    re-checked over a second full period at construction, which turns the
-    asymptotic statement into a machine-checked window.  No __slots__: the
-    cached _den lives in the instance __dict__.
+    den is D, the common denominator of quad, lam and the nu table; nu, its
+    integer numerators over D, was re-checked over a second full period at
+    construction, which turns the asymptotic statement into a
+    machine-checked window.  nu_table is a Fraction view, formed on each read.
     """
 
-    @cached_property
-    def _den(self) -> int:
-        """D: the common denominator of quad, lam and the nu table."""
-        return math.lcm(self.quad_coeff.denominator, self.lam.denominator,
-                        *(v.denominator for v in self.nu_table))
+    __slots__ = ()
+
+    @property
+    def nu_table(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nu)
 
 
 @lru_cache(maxsize=64)
@@ -292,9 +294,9 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     slopes and from the single reduced fraction in p, d, r) to catch
     parameter-wiring mistakes.  The nu window over two full periods past
     the delay is indexed in the two slopes' residue tables and must repeat
-    its first period; the value is then checked integral and non-negative
-    at every n of the window, in integers over the common denominator D.
-    lam is read from the gamma table.
+    its first period; nu is stored as integers over the common denominator
+    D, where the value is checked integral and non-negative at every n of
+    the window.  lam is read from the gamma table.
     """
     period, tables = _require_build(params)
     p, d, r = params.p, params.d, params.r
@@ -309,10 +311,12 @@ def closed_model(params: TowerParams) -> ClosedFormModel:
     if window[:period] != window[period:]:
         raise InvariantViolationError(
             f"nu residue is not {period}-periodic over the verification window")
+    den = math.lcm(quad.denominator, lam.denominator,
+                   *(v.denominator for v in window))
     model = ClosedFormModel(
         params=params, quad_coeff=quad, lam=lam, delay=delay,
-        claimed_period=period,
-        nu_table=tuple(window[(j - delay) % period] for j in range(period)))
+        claimed_period=period, den=den, nu=tuple(
+            int(window[(j - delay) % period] * den) for j in range(period)))
     _check_window(model, delay, delay + 2 * period)
     return model
 
@@ -330,10 +334,10 @@ def _checked_value(model: ClosedFormModel, n: int) -> int:
     """The closed form at n, after checking that it is integral and
     non-negative.  It runs over D times the value, D the common
     denominator, so p^(2n) only multiplies an integer."""
-    den = model._den
-    quad, lam, nu = (v.numerator * (den // v.denominator) for v in (
-        model.quad_coeff, model.lam, model.nu_table[n % model.claimed_period]))
-    num = quad * model.params.p ** (2 * n) + lam * n + nu
+    den, quad, lam = model.den, model.quad_coeff, model.lam
+    num = (den // quad.denominator * quad.numerator * model.params.p ** (2 * n)
+           + den // lam.denominator * lam.numerator * n
+           + model.nu[n % model.claimed_period])
     if num % den or num < 0:
         raise InvariantViolationError(
             f"closed form gave non-integral or negative value "
@@ -349,10 +353,8 @@ def _check_window(model: ClosedFormModel, lo: int, hi: int) -> None:
     step, proves integrality.  V is tracked exactly until (p^2-1) V >=
     max|E|; from there V(n+1) >= V(n), so it can no longer turn negative.
     A step that fails is re-checked directly, which raises with its value."""
-    den, step = model._den, model.params.p ** 2
-    lam = model.lam.numerator * (den // model.lam.denominator)
-    nu = [v.numerator * (den // v.denominator) for v in model.nu_table]
-    period = model.claimed_period
+    den, step, nu = model.den, model.params.p ** 2, model.nu
+    lam, period = int(model.lam * den), model.claimed_period
     scaled = [lam * n + nu[n % period] for n in range(lo, hi)]
     moves = [b - step * a for a, b in zip(scaled, scaled[1:])]
     ceiling = max(map(abs, moves), default=0)
@@ -381,10 +383,10 @@ def evaluate(model: ClosedFormModel, n: int) -> int:
 
 
 def minimal_nu_period(model: ClosedFormModel) -> int:
-    """Smallest divisor of claimed_period under which nu_table is invariant."""
-    table, full = model.nu_table, model.claimed_period
+    """Smallest divisor of claimed_period under which nu is invariant."""
+    nu, full = model.nu, model.claimed_period
     for cand in divisors(full):
-        if all(table[j] == table[(j + cand) % full] for j in range(full)):
+        if all(nu[j] == nu[(j + cand) % full] for j in range(full)):
             return cand
     return full
 
@@ -392,7 +394,7 @@ def minimal_nu_period(model: ClosedFormModel) -> int:
 def model_to_dict(model: ClosedFormModel) -> dict:
     """JSON-ready rendering: {p, d, r, quad, lambda, N_r, period, nu}, with
     the nu table cut to its minimal period."""
-    nu = model.nu_table[:minimal_nu_period(model)]
+    nu = model.nu[:minimal_nu_period(model)]
     return {
         "p": model.params.p,
         "d": model.params.d,
@@ -401,5 +403,5 @@ def model_to_dict(model: ClosedFormModel) -> dict:
         "lambda": format_rational(model.lam),
         "N_r": model.delay,
         "period": len(nu),
-        "nu": [format_rational(v) for v in nu],
+        "nu": [format_rational(Fraction(v, model.den)) for v in nu],
     }

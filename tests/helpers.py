@@ -21,7 +21,6 @@ import anum
 from anum import (
     A_fn,
     ClosedFormModel,
-    EventuallyPeriodicSeq,
     InvariantViolationError,
     TowerParams,
     count_delta_region,
@@ -35,6 +34,7 @@ from anum import (
     t_n,
 )
 from anum.delta import p0
+from anum.periodic_sum import EventuallyPeriodicSeq
 
 
 def run_python(*args, timeout):
@@ -186,8 +186,10 @@ def special_r_eq_p_plus_1(params):
             f"only valid for r = p+1 = {params.p + 1}, got r={params.r}")
     quad = (1 / params.tau - 1 / params.gamma) / 2
     nu = Fraction(params.p - 1, 2) * (1 / params.tau - 1)
+    den = math.lcm(quad.denominator, nu.denominator)
     return ClosedFormModel(params=params, quad_coeff=quad, lam=Fraction(0),
-                           delay=1, claimed_period=1, nu_table=(nu,))
+                           delay=1, claimed_period=1, den=den,
+                           nu=(int(nu * den),))
 
 
 def F_fn(x_inv, params, e):

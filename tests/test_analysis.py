@@ -129,9 +129,9 @@ def test_self_checks_raise(monkeypatch):
         PairingRecord(r0=2, r1=16, lambda0=half, lambda1=half, delay0=0, delay1=2)
     # a nu table off by one at delay+1 disagrees with brute force there
     model = closed_model(params)
-    table = list(model.nu_table)
-    table[model.delay + 1] += 1
-    tampered = model._replace(nu_table=tuple(table))
+    nu = list(model.nu)
+    nu[model.delay + 1] += model.den
+    tampered = model._replace(nu=tuple(nu))
     monkeypatch.setattr(anum.analysis, "closed_model", lambda _: tampered)
     with pytest.raises(InvariantViolationError, match="n=1 disagrees"):
         minimal_period(params)
@@ -222,26 +222,33 @@ def test_a_cold_sweep_cell_takes_the_order_behind_L_once(monkeypatch):
 
 def test_a_cold_sweep_builds_the_delta0_and_tau_tables_once(monkeypatch):
     # 20 cells and their partners at (13, 12) check delta0's average once
-    # and share one tau table: L_tau = 2 there, so one tau table is 4
-    # evaluations of A
+    # and share one tau table: L_tau = 2 there, so one tau table is one
+    # digit walk of 4 entries, each one evaluation of A
     cells = [(13, 12, r) for r in range(1, 21)]
     alone = []
     for cell in cells:
         clear_build_caches()
         alone += sweep([cell])
     clear_build_caches()
-    tau_inv, tau_calls = 1 / TowerParams(13, 12, 1).tau, []
-    A_fn = anum.closed_form.A_fn
+    tau, tau_walks, tau_values = TowerParams(13, 12, 1).tau, [], []
+    walk, a_value = anum.closed_form._digit_walk, anum.closed_form._a_value
 
-    def counted_A(x_inv, p, n):
-        if x_inv == tau_inv:
-            tau_calls.append(n)
-        return A_fn(x_inv, p, n)
+    def counted_walk(x, params, count):
+        if x == tau:
+            tau_walks.append(count)
+        return walk(x, params, count)
 
-    monkeypatch.setattr(anum.closed_form, "A_fn", counted_A)
+    def counted_a(x, fp, m):
+        if x == tau:
+            tau_values.append((fp, m))
+        return a_value(x, fp, m)
+
+    monkeypatch.setattr(anum.closed_form, "_digit_walk", counted_walk)
+    monkeypatch.setattr(anum.closed_form, "_a_value", counted_a)
     rows = sweep(cells)
     assert anum.delta0_average.cache_info().misses == 1
-    assert tau_calls == [0, 1, 2, 3]
+    assert tau_walks == [4]
+    assert len(tau_values) == 4
     assert rows == alone
     assert all(row.error == "" for row in rows)
 

@@ -613,6 +613,24 @@ def test_sweep_list_parse_errors(capsys, flags, line):
     assert (code, out, err) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize("flags, message, length", [
+    (("--p-list", "1" + "0" * 4998 + "7"),
+     "primality is only decided below 3317044064679887385961981, got 1000",
+     5063),
+    (("--p-list", "5", "--d-mode", "list:1" + "0" * 4999),
+     "d must divide p-1: got d=1000", 5030),
+])
+def test_sweep_list_entries_past_the_int_str_limit(capsys, flags, message,
+                                                   length):
+    # a 5000-digit entry is an integer: it is refused for what it is, with
+    # its digits echoed and the message cut at 200 characters
+    code, out, err = run(capsys, "sweep", *flags, "--r-max", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+    assert err.endswith(f"0... ({length} characters)\n")
+    assert len(err) == len(f"error: ... ({length} characters)\n") + 200
+
+
 def test_output_is_deterministic(capsys):
     outputs = set()
     for _ in range(2):

@@ -199,8 +199,9 @@ def test_split_sums_read_no_residue_code(monkeypatch):
 
     exact_arith = importlib.import_module("anum.exact_arith")
     for module, name in ((anum.closed_form, "A_fn"), (anum.closed_form, "F_fn"),
+                         (anum.closed_form, "_a_value"),
                          (anum.closed_form, "_residues"),
-                         (anum.closed_form, "_delta_terms"),
+                         (anum.closed_form, "_digit_walk"),
                          (anum.closed_form, "frac_part_pn"),
                          (anum.closed_form, "floor_pn_mod"),
                          (exact_arith, "frac_part_pn"),
@@ -330,17 +331,17 @@ def test_evaluate_matches_the_written_out_form():
 
 def test_integrality_refusal_at_large_n_is_an_invariant_violation():
     # the value there is past the 4300-digit int-to-str limit, so the
-    # message writes it as its sign and a power of ten
+    # message writes it as its sign and a power of ten.  nu off by 1/D
+    # leaves the integers, D = 2667 here
     model = closed_model(TowerParams(13, 12, 20))
-    bad = model._replace(
-        nu_table=tuple(v + Fraction(1, 2) for v in model.nu_table))
+    assert model.den == 2667
+    bad = model._replace(nu=tuple(v + 1 for v in model.nu))
     with pytest.raises(InvariantViolationError, match="non-integral"):
         evaluate(bad, 5)
     with pytest.raises(InvariantViolationError,
                        match=r"value \(more than 10\^\d+\) at n=3000$"):
         evaluate(bad, 3000)
-    low = model._replace(
-        nu_table=tuple(v - 10**4000 for v in model.nu_table))
+    low = model._replace(nu=tuple(v - 10**4000 * model.den for v in model.nu))
     with pytest.raises(InvariantViolationError,
                        match=r"negative value -\(more than 10\^3999\) at n=5$"):
         evaluate(low, 5)
@@ -572,11 +573,17 @@ def test_lambda_is_read_from_the_gamma_table():
     for params in full_grid():
         assert closed_model(params).lam == delta_sum_linear_coeff(params.gamma, params)
 
-def plant_half(monkeypatch, x_inv, planted):
-    """A_fn off by 1/2 at 1/x = x_inv wherever planted(n) holds."""
+DIGIT_WALK = anum.closed_form._digit_walk
+
+
+def plant_half(monkeypatch, x, planted):
+    """The digit walk's A entry off by 1/2 on the slope x wherever
+    planted(n) holds."""
     monkeypatch.setattr(
-        anum.closed_form, "A_fn",
-        lambda y, p, n: A_fn(y, p, n) + Fraction(1, 2) * (y == x_inv and planted(n)))
+        anum.closed_form, "_digit_walk",
+        lambda y, params, count: [
+            (a + Fraction(1, 2) * (y == x and planted(n)), g)
+            for n, (a, g) in enumerate(DIGIT_WALK(y, params, count))])
 
 
 def test_planted_residue_faults_raise(monkeypatch, fresh_residues):
@@ -589,29 +596,32 @@ def test_planted_residue_faults_raise(monkeypatch, fresh_residues):
         (p5d4r46, p5d4r46.gamma, "not periodic", lambda n: n == 18),
     )
     for params, x, message, planted in faults:
-        plant_half(monkeypatch, 1 / x, planted)
+        plant_half(monkeypatch, x, planted)
         fresh_residues.cache_clear()
         with pytest.raises(InvariantViolationError, match=message):
             build(params)
 
 
 def count_residue_calls(monkeypatch, params):
-    """Build params afresh and count, per slope, the A_fn calls and the P0
-    reads of `_delta_terms`, and in all the p^n digit helper calls."""
-    calls = {"A tau": 0, "A gamma": 0, "P0 tau": 0, "P0 gamma": 0,
-             "frac_part_pn": 0, "floor_pn_mod": 0}
-    slope = []  # the slope whose delta terms are being formed
+    """Build params afresh and count, per slope, the digit walks and their
+    A and P0 reads, and in all the calls of A_fn and of the p^n digit
+    helpers."""
+    calls = {"walk tau": 0, "walk gamma": 0, "A tau": 0, "A gamma": 0,
+             "P0 tau": 0, "P0 gamma": 0,
+             "A_fn": 0, "frac_part_pn": 0, "floor_pn_mod": 0}
+    slope = []  # the slope being walked
 
     def name(x):
         return "tau" if x == params.tau else "gamma"
 
-    def count_A(x_inv, *args):
-        calls[f"A {name(1 / x_inv)}"] += 1
-        return A_fn(x_inv, *args)
-
-    def count_terms(x, *args):
+    def count_walk(x, *args):
         slope.append(name(x))
-        return terms(x, *args)
+        calls[f"walk {slope[-1]}"] += 1
+        return walk(x, *args)
+
+    def count_a(x, *args):
+        calls[f"A {name(x)}"] += 1
+        return a_value(x, *args)
 
     def count_p0(*args):
         calls[f"P0 {slope[-1]}"] += 1
@@ -624,13 +634,17 @@ def count_residue_calls(monkeypatch, params):
         return call
 
     module = anum.closed_form
-    terms, p0 = module._delta_terms, module.p0
+    exact_arith = importlib.import_module("anum.exact_arith")
+    walk, a_value, p0 = module._digit_walk, module._a_value, module.p0
     with monkeypatch.context() as patch:
-        patch.setattr(module, "A_fn", count_A)
-        patch.setattr(module, "_delta_terms", count_terms)
+        patch.setattr(module, "_digit_walk", count_walk)
+        patch.setattr(module, "_a_value", count_a)
         patch.setattr(module, "p0", count_p0)
-        for helper in ("frac_part_pn", "floor_pn_mod"):
-            patch.setattr(module, helper, counted(helper, getattr(module, helper)))
+        for home, helper in ((module, "A_fn"), (module, "frac_part_pn"),
+                             (module, "floor_pn_mod"),
+                             (exact_arith, "frac_part_pn"),
+                             (exact_arith, "floor_pn_mod")):
+            patch.setattr(home, helper, counted(helper, getattr(home, helper)))
         model = closed_model.__wrapped__(params)
     return model, calls
 
@@ -639,40 +653,62 @@ def test_build_evaluates_each_residue_table_once(monkeypatch, fresh_residues):
     # v + 2 L_gamma evaluations on gamma: (31, 30, 100) has v = 0 and
     # L_gamma = 378; (5, 4, 46) has v = 1 and L_gamma = 9 (claimed period 18).
     # The tau table depends on (p, d) alone: a second r there evaluates none.
-    # Each entry reads A_fn once and P0 once; the p^n digit helpers are A's
-    # alone, since the delta side runs on long-division remainders
+    # Each slope is walked once, and each entry of the walk reads A and P0
+    # once; a build calls neither A_fn nor the p^n digit helpers
     for cell, period, gamma_calls, tau_calls in (((31, 30, 100), 378, 756, 4),
                                                  ((31, 30, 7), 110, 110, 0),
                                                  ((5, 4, 46), 18, 19, 4)):
         model, calls = count_residue_calls(monkeypatch, TowerParams(*cell))
         assert model.claimed_period == period
+        assert calls["walk tau"] == (tau_calls > 0), calls
+        assert calls["walk gamma"] == 1, calls
         assert calls["A tau"] == calls["P0 tau"] == tau_calls, calls
         assert calls["A gamma"] == calls["P0 gamma"] == gamma_calls, calls
-        assert (calls["frac_part_pn"] == calls["floor_pn_mod"]
-                == tau_calls + gamma_calls), calls
+        assert (calls["A_fn"] == calls["frac_part_pn"]
+                == calls["floor_pn_mod"] == 0), calls
+
+
+BIG_P = 10**16 + 61  # a 17-digit prime
+
+
+def walk_cases():
+    """(params, x, count) for both slopes of the grid and of cells past it,
+    with count = v + 2L, the entries a build walks: v_p(gamma) = 2 at
+    (3, 2, 7), (5, 4, 11), (7, 2, 15) and (13, 12, 27), 3 at (5, 4, 61)
+    and (3, 2, 25), and a 17-digit p with tau_den = 1 and tau_den =
+    (p - 1)/2."""
+    extra = [TowerParams(*cell) for cell in (
+        (3, 2, 7), (3, 2, 25), (5, 4, 11), (5, 4, 61), (7, 2, 15), (13, 12, 27),
+        (BIG_P, 2, 1), (BIG_P, 2, BIG_P + 1), (BIG_P, BIG_P - 1, 1),
+        (BIG_P, BIG_P - 1, BIG_P + 1))]
+    for params in full_grid() + extra:
+        for x in (params.tau, params.gamma):
+            form = p_adic_decompose(x, params.p)
+            yield params, x, form.v + 2 * longdiv_delay_period(1 / x, params.p)[1]
 
 
 def test_delta_terms_match_the_paper_form():
-    # g(e) = F(1/x, e) - <delta0> {p^e / x} for e < v + 2L: the remainder
-    # recurrences against p^e formed whole (F) and one pow (the fractional
-    # part).  Past the grid: v_p(gamma) = 2 at (3, 2, 7),
-    # (5, 4, 11), (7, 2, 15) and (13, 12, 27), 3 at (5, 4, 61) and (3, 2, 25),
-    # and a 17-digit p with tau_den = 1 and tau_den = (p - 1)/2
-    big = 10**16 + 61
-    extra = [TowerParams(*cell) for cell in (
-        (3, 2, 7), (3, 2, 25), (5, 4, 11), (5, 4, 61), (7, 2, 15), (13, 12, 27),
-        (big, 2, 1), (big, 2, big + 1), (big, big - 1, 1),
-        (big, big - 1, big + 1))]
-    for params in full_grid() + extra:
+    # g(e) = F(1/x, e) - <delta0> {p^e / x} for e < v + 2L: the walk's
+    # remainder recurrences against p^e formed whole (F) and one pow (the
+    # fractional part)
+    for params, x, count in walk_cases():
         p, avg = params.p, delta0_average(params)
-        for x in (params.tau, params.gamma):
-            form = p_adic_decompose(x, p)
-            count = form.v + 2 * longdiv_delay_period(1 / x, p)[1]
-            terms = anum.closed_form._delta_terms(x, params, count)
-            assert len(terms) == count
-            for e, term in enumerate(terms):
-                paper = F_fn(1 / x, params, e) - avg * frac_part_pn(1 / x, p, e)
-                assert term == paper, (params, x, e)
+        terms = [g for _, g in anum.closed_form._digit_walk(x, params, count)]
+        assert len(terms) == count
+        for e, term in enumerate(terms):
+            paper = F_fn(1 / x, params, e) - avg * frac_part_pn(1 / x, p, e)
+            assert term == paper, (params, x, e)
+
+
+def test_digit_walk_reads_a_as_a_fn_does():
+    # the walk's A(1/x, e) for e < v + 2L, from {p^e/x} and
+    # floor(p^e/x) mod den off the remainder recurrences, against A_fn,
+    # which reads both through pow
+    for params, x, count in walk_cases():
+        entries = [a for a, _ in anum.closed_form._digit_walk(x, params, count)]
+        assert len(entries) == count
+        for e, entry in enumerate(entries):
+            assert entry == A_fn(1 / x, params.p, e), (params, x, e)
 
 
 def test_build_reads_each_residue_table_once(monkeypatch, fresh_residues):

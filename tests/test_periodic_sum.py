@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from anum import EventuallyPeriodicSeq, TowerParams, prefix_sum
+from anum import TowerParams
+from anum.periodic_sum import EventuallyPeriodicSeq, prefix_sum
 from helpers import delta0_as_sequence, term
 
 

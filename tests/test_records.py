@@ -2,13 +2,13 @@
 neither dataclasses nor inspect nor tempfile."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from anum import (
-    EventuallyPeriodicSeq,
     InvariantViolationError,
     PairingRecord,
     PeriodReport,
@@ -21,6 +21,7 @@ from anum import (
     sweep,
 )
 from anum.analysis import SWEEP_COLUMNS
+from anum.periodic_sum import EventuallyPeriodicSeq
 from helpers import run_python
 
 
@@ -29,6 +30,13 @@ def test_import_loads_no_dataclasses_inspect_or_tempfile():
     script = ("import anum, anum.cli, sys; print(sorted("
               "{'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
     assert run_python("-S", "-c", script, timeout=20) == (0, "[]\n", "")
+
+
+def test_import_does_not_load_periodic_sum():
+    # no module of the package reads it; the bench's tracer imports it
+    script = ("import anum, anum.cli, sys; "
+              "print('anum.periodic_sum' in sys.modules)")
+    assert run_python("-S", "-c", script, timeout=20) == (0, "False\n", "")
 
 
 def every_record():
@@ -80,6 +88,20 @@ def test_bad_records_still_raise():
         PairingRecord(2, 16, Fraction(1, 3), Fraction(1, 3), 0, 0)
     with pytest.raises(ValueError, match="non-empty"):
         EventuallyPeriodicSeq(head=(), cycle=())
+
+
+def test_model_stores_nu_as_integers_over_den():
+    for cell in ((5, 4, 2), (5, 4, 61), (7, 6, 4), (13, 12, 20)):
+        model = closed_model(TowerParams(*cell))
+        assert not hasattr(model, "__dict__"), cell
+        assert all(type(v) is int for v in model.nu), cell
+        table = model.nu_table
+        assert model.den == math.lcm(model.quad_coeff.denominator,
+                                     model.lam.denominator,
+                                     *(v.denominator for v in table)), cell
+        assert table == tuple(Fraction(v, model.den) for v in model.nu), cell
+    with pytest.raises(AttributeError):
+        model.nu_table = ()
 
 
 def test_records_copy_and_pickle():
