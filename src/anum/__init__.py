@@ -16,7 +16,6 @@ from .analysis import (
     sweep,
 )
 from .closed_form import (
-    A_fn,
     ClosedFormModel,
     closed_model,
     delta_sum_closed,
@@ -43,9 +42,7 @@ from .exact_arith import (
     PAdicForm,
     digit,
     divisors,
-    floor_pn_mod,
     format_rational,
-    frac_part_pn,
     is_prime,
     multiplicative_order,
     p_adic_decompose,
@@ -63,7 +60,6 @@ from .lattice import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_fn",
     "ANumberBreakdown",
     "BudgetExceededError",
     "ClosedFormModel",
@@ -89,10 +85,8 @@ __all__ = [
     "digit",
     "divisors",
     "evaluate",
-    "floor_pn_mod",
     "floor_sum_closed",
     "format_rational",
-    "frac_part_pn",
     "is_prime",
     "lambda_r",
     "last_column",

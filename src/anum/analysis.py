@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .closed_form import closed_model, lambda_r, minimal_nu_period
-from .delta import TowerParams
+from .delta import TowerParams, _require_ints
 from .errors import InvariantViolationError
 from .exact_arith import multiplicative_order
 from .lattice import sum_decomposition
@@ -172,9 +172,10 @@ def sweep(entries) -> list[SweepRow]:
     """One row per (p, d, r), in lexicographic order.
 
     Cell failures are recorded in the row's error column and the sweep
-    continues; the row order never depends on failures.
+    continues; the row order never depends on failures.  An entry that is
+    not three integers is refused with ValueError before any cell runs.
     """
-    keys = sorted({(int(p), int(d), int(r)) for p, d, r in entries})
+    keys = sorted({_require_ints(p, d, r) for p, d, r in entries})
     rows = []
     for p, d, r in keys:
         try:

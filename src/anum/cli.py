@@ -219,7 +219,7 @@ def cmd_formula(args) -> int:
     if args.format == "json":
         text = json.dumps(data, indent=2) + "\n"
     elif args.format == "csv":
-        columns = ["p", "d", "r", "quad", "lambda", "N_r", "period"]
+        columns = [k for k in data if k != "nu"]
         row = [data[k] for k in columns] + nu
         text = _render(columns + [f"nu{j}" for j in range(period)], [row], "csv")
     else:

@@ -23,22 +23,20 @@ k = num mod d, since k*p/d = k*(p-1)/d + k/d with 0 <= k/d < 1, and the
 ones digit is o = floor(num/d) mod p; when tau_den | i, k = 0 and the test
 gives 0 with no separate check.  As num mod d*p = d*o + k, the test K > o,
 that is k*(p-1) > d*o, reads k*p > num mod d*p, with no division.
-`mu_sum` strips no factor of p: p = 1 (mod d), so on a multiple of p,
-num mod d*p = p*(num mod d) and the test reads 0.  It runs the test at
-every p-adic level in column order instead, level k on j = i/p^k for every
-j in (lo//p^k, hi//p^k]: the multiples of p that one level reads as 0 are
-the columns of the next, since delta(p*j) = delta(j).  At level 0 num runs
-through an arithmetic progression, so the floors of tau*i sum to
-((p+1)*(sum of i) - sum of k)/d, with the k the test reads.  `delta`, `mu`
-and brute force all read `mu_sum`; `delta_lexicographic` keeps the raw
-sequence comparison as a slow reference, and their agreement is itself one
-of the package's property tests.
+The one column walker, `delta_count`, strips no factor of p: p = 1
+(mod d), so on a multiple of p, num mod d*p = p*(num mod d) and the test
+reads 0.  It runs the test at every p-adic level in column order instead,
+level k on j = i/p^k for every j in (lo//p^k, hi//p^k]: the multiples of
+p that one level reads as 0 are the columns of the next, since
+delta(p*j) = delta(j).  It counts delta alone: `mu` adds floor(tau*i),
+and brute force sums the floors in closed form.  `delta`, `delta0`,
+`delta_tilde`, `mu` and brute force all read `delta_count`;
+`delta_lexicographic` keeps the raw sequence comparison as a slow
+reference, and their agreement is one of the package's property tests.
 
-Cost, from two traced runs `bench/run.py --workload query --seed 7
---seconds 34 --trace 1` (2 vCPUs, Python 3.11.7): a brute-force column
-costs 103-105 ns in `mu_sum` (`lattice.ns_per_column`), and a scalar `mu`
-call, one column and the levels above it, 717-768 ns
-(`delta.mu.ns_per_call`).
+Cost, from `bench/run.py --workload query --seed 7 --seconds 34 --trace 1`
+(2 vCPUs, Python 3.11.7): 99 ns a brute-force column
+(`lattice.ns_per_column`), 726 ns a scalar `mu` call (`delta.mu.ns_per_call`).
 
 delta0 vanishes at multiples of p, delta_tilde equals 1 at multiples of
 tau_den; both otherwise agree with delta.  delta0 is periodic with period
@@ -91,6 +89,14 @@ def require_budget(count: int, budget: int | None = None, what="enumeration",
         raise _budget_error(_count_text(count), budget, what, unit)
 
 
+def _require_ints(p, d, r) -> tuple[int, int, int]:
+    """(p, d, r), when each is an int and not a bool; ValueError otherwise."""
+    for name, value in zip("pdr", (p, d, r)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    return p, d, r
+
+
 class TowerParams(namedtuple("TowerParams", "p d r")):
     """Parameters (p, d, r): odd prime p, ramification invariant d dividing
     p-1, and operator power r >= 1.  Primality of p is checked once here;
@@ -98,6 +104,7 @@ class TowerParams(namedtuple("TowerParams", "p d r")):
     live in the instance __dict__."""
 
     def __new__(cls, p: int, d: int, r: int):
+        _require_ints(p, d, r)
         if p == 2 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if d < 1 or (p - 1) % d != 0:
@@ -163,36 +170,26 @@ def p0(params: TowerParams, m: int) -> int:
             - _floor_sum(m, d, 2, 2) + _floor_sum(m, d * p, p + 1, p + 1))
 
 
-def mu_sum(params: TowerParams, lo: int, hi: int) -> int:
-    """sum_{lo < i <= hi} mu(i): the collapsed delta test at every p-adic
-    level, in column order, plus the floors of tau*i from the progression
-    sum of num = (p+1)*i.  Level k tests j = i/p^k for every j in
-    (lo//p^k, hi//p^k]; the test reads 0 on a multiple of p, whose delta
-    the next level counts.  Empty when hi <= lo."""
+def delta_count(params: TowerParams, lo: int, hi: int) -> int:
+    """sum_{lo < i <= hi} delta(i), 0 when hi <= lo: the collapsed delta
+    test at every p-adic level, in column order (see the module doc)."""
     if lo < 0:
         raise ValueError(f"lo must be non-negative, got {lo}")
-    if hi <= lo:
-        return 0
     p, d = params.p, params.d
     q, dp = p + 1, d * p
-    span = q * (hi * (hi + 1) - lo * (lo + 1)) // 2
-    rems = ups = 0
-    for num in range(q * (lo + 1), q * hi + 1, q):
-        rems += (k := num % d)
-        ups += k * p > num % dp
-    lo, hi = lo // p, hi // p
+    ups = 0
     while hi > lo:
         for num in range(q * (lo + 1), q * hi + 1, q):
             ups += num % d * p > num % dp
         lo, hi = lo // p, hi // p
-    return (span - rems) // d + ups
+    return ups
 
 
 def delta(params: TowerParams, i: int) -> int:
     """Indicator that mu rounds up at i (the collapsed two-digit test)."""
     if i < 1:
         raise ValueError(f"i must be a positive integer, got {i}")
-    return mu_sum(params, i - 1, i) - (params.p + 1) * i // params.d
+    return delta_count(params, i - 1, i)
 
 
 def delta_lexicographic(params: TowerParams, i: int) -> int:
@@ -238,13 +235,9 @@ def delta_tilde(params: TowerParams, i: int) -> int:
 
 
 def mu(params: TowerParams, i: int) -> int:
-    """floor(tau*i) + delta(i): the first admissible height over column i.
-
-    Equivalently ceil(tau*i) - 1 + delta_tilde(i).
-    """
-    if i < 1:
-        raise ValueError(f"i must be a positive integer, got {i}")
-    return mu_sum(params, i - 1, i)
+    """floor(tau*i) + delta(i), equivalently ceil(tau*i) - 1 + delta_tilde(i):
+    the first admissible height over column i."""
+    return (params.p + 1) * i // params.d + delta(params, i)
 
 
 @lru_cache(maxsize=64)

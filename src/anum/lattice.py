@@ -2,23 +2,23 @@
 split forms of the same count.
 
 The counters are the ground truth that every closed form in the package
-is tested against.  Brute force takes the triangle bulk in closed form and
-walks only the delta-region columns t_n < i <= floor(p^n/tau), that is
-O(d * p^n * (1/(p+1) - 1/((p-1)r + p + 1))) small-integer operations, in
-one `delta.mu_sum` call at about 105 ns a column (`lattice.ns_per_column`
-from `bench/run.py --workload query --seed 7 --seconds 34 --trace 1`, 2
-vCPUs).  All enumeration is guarded by an
-explicit column budget so a mistyped n fails fast instead of hanging; a
-count that a cheap bound already puts past the budget is refused before
-p^n is formed.  The split forms (floor sums minus delta sums) are
-evaluated, not enumerated: O(n) big-integer operations, with no budget.
+is tested against.  Brute force takes the triangle bulk and the floors
+of tau*i in closed form and walks only the delta-region columns
+t_n < i <= floor(p^n/tau), O(d * p^n * (1/(p+1) - 1/((p-1)r + p + 1)))
+of them, in one `delta.delta_count` call at about 99 ns a column
+(`lattice.ns_per_column`, `bench/run.py --workload query --seed 7
+--trace 1`, 2 vCPUs).  All enumeration is guarded by an explicit column
+budget so a mistyped n fails fast instead of hanging; a count that a
+cheap bound already puts past the budget is refused before p^n is
+formed.  The split forms (floor sums minus delta sums) are evaluated,
+not enumerated: O(n) big-integer operations, with no budget.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .delta import (TowerParams, _budget_error, _more_than, mu_sum, p0,
+from .delta import (TowerParams, _budget_error, _more_than, delta_count, p0,
                     require_budget)
 from .errors import InvariantViolationError
 from .exact_arith import _budget_limit, _floor_sum
@@ -85,6 +85,16 @@ def last_column(params: TowerParams, n: int) -> int:
     return params.d * params.p**n // (params.p + 1)
 
 
+def _tau_floors(params: TowerParams, n: int) -> int:
+    """sum_{i <= n} floor(tau*i), sharing no code with the split forms: it
+    is s*n(n+1)/2 + sum_{i <= n} floor(2i/d) with s = (p-1)/d, and the
+    floors of 2i/d on (j*d, (j+1)*d] add up to 2j*d + floor(d/2) + 2."""
+    d = params.d
+    k, rho = divmod(n, d)
+    return ((params.p - 1) // d * n * (n + 1) // 2 + d * k * (k - 1)
+            + k * (d // 2 + 2) + 2 * k * rho + max(0, rho - (d + 1) // 2 + 1))
+
+
 def count_delta_region(params: TowerParams, n: int, budget: int | None = None) -> int:
     """#{(i, j) : i > t_n and mu(i) <= j <= p^n - 1}, column by column.
 
@@ -100,7 +110,8 @@ def count_delta_region(params: TowerParams, n: int, budget: int | None = None) -
     t = t_n(params, n)
     last = last_column(params, n)
     require_budget(last - t, budget)
-    return (last - t) * p**n - mu_sum(params, t, last)
+    return ((last - t) * p**n - _tau_floors(params, last)
+            + _tau_floors(params, t) - delta_count(params, t, last))
 
 
 class ANumberBreakdown(namedtuple(

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import anum
 from anum import (
-    A_fn,
     ClosedFormModel,
     InvariantViolationError,
     TowerParams,
@@ -33,6 +32,7 @@ from anum import (
     mu,
     t_n,
 )
+from anum.closed_form import A_fn
 from anum.delta import p0
 from anum.periodic_sum import EventuallyPeriodicSeq
 

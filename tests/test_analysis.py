@@ -168,6 +168,18 @@ def test_sweep_records_cell_failures_in_row():
     assert rows[1].minimal_period is not None
 
 
+def test_sweep_refuses_an_entry_that_is_not_three_integers(monkeypatch):
+    # r = 2.5 would otherwise run as r = 2, and d = True as d = 1; the
+    # refusal comes before any cell runs
+    def no_cell(params):
+        raise AssertionError("a cell ran before the entries were checked")
+
+    monkeypatch.setattr(anum.analysis, "minimal_period", no_cell)
+    for bad in ((5, 4, 2.5), (5, True, 2), (5.0, 4, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sweep([(5, 4, 2), bad])
+
+
 def test_sweep_large_p_cell_needs_no_enumeration():
     # the residuals up to delay + 1 come from the split forms; brute force
     # would need 1.0e8 columns at n = 4 for the partner r = 20605 (delay 3),

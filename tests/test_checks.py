@@ -11,10 +11,10 @@ from anum.checks import checks
 PARAMS = TowerParams(5, 4, 1)  # r = 1, so the first-power check is present
 
 # `anum.delta` is the re-exported function, so reach the module by name.
-# delta's own code is the column kernel `mu_sum`, which `mu`, `delta` and
+# delta's own code is the column walker `delta_count`, which `mu`, `delta` and
 # `delta_tilde` all read; a fault planted there reaches every one of them.
 CHECKS = (anum.checks,)
-KERNEL = (importlib.import_module("anum.delta"),)
+WALKER = (importlib.import_module("anum.delta"),)
 
 
 def flip_at_7(indicator):
@@ -23,12 +23,11 @@ def flip_at_7(indicator):
     return planted
 
 
-def flip_column_7(kernel):
+def flip_column_7(walker):
     def planted(params, lo, hi):
-        total = kernel(params, lo, hi)
+        total = walker(params, lo, hi)
         if lo < 7 <= hi:
-            up = kernel(params, 6, 7) - (params.p + 1) * 7 // params.d
-            total += 1 - 2 * up
+            total += 1 - 2 * walker(params, 6, 7)
         return total
     return planted
 
@@ -50,7 +49,7 @@ FAULTS = {
     "delta digit test matches the lexicographic definition":
         ("delta", flip_at_7, CHECKS),
     "mu equals floor+delta and ceil-1+delta_tilde":
-        ("mu_sum", flip_column_7, KERNEL),
+        ("delta_count", flip_column_7, WALKER),
     "delta is invariant under multiplying i by p": ("delta", flip_at_7, CHECKS),
     "delta0 shifts by tau_den*p": ("delta0", flip_at_7, CHECKS),
     "delta0 reflects within one period": ("delta0", flip_at_7, CHECKS),

@@ -9,7 +9,6 @@ import pytest
 
 import anum.closed_form
 from anum import (
-    A_fn,
     BudgetExceededError,
     InvariantViolationError,
     PreDelayError,
@@ -22,7 +21,6 @@ from anum import (
     delta_sum_linear_coeff,
     evaluate,
     floor_sum_closed,
-    frac_part_pn,
     lambda_r,
     minimal_nu_period,
     model_to_dict,
@@ -30,6 +28,8 @@ from anum import (
     sum_decomposition,
 )
 from anum.checks import checks
+from anum.closed_form import A_fn
+from anum.exact_arith import frac_part_pn
 from helpers import (
     F_fn,
     digit_average,

@@ -17,7 +17,8 @@ from anum import (
     mu,
 )
 from anum.checks import checks
-from anum.delta import mu_sum, p0
+from anum.delta import delta_count, p0
+from anum.lattice import _tau_floors
 from helpers import delta0_as_sequence, full_grid, mu_sum_columnwise, pd_grid
 
 # indicators over i = 1..19 for p=5, d=4
@@ -37,6 +38,12 @@ def test_params_validation():
         TowerParams(5, 3, 1)  # d does not divide p-1
     with pytest.raises(ValueError):
         TowerParams(5, 4, 0)  # r must be positive
+    # only ints: a bool or a float would pass the range checks and fail, or
+    # print as true, downstream
+    for p, d, r in ((5, True, 2), (True, 1, 1), (5, 4, False), (5.0, 4, 2),
+                    (5, 4.0, 2), (5, 4, 2.5), (5, 4, "2")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TowerParams(p, d, r)
 
 
 def test_derived_quantities():
@@ -90,37 +97,56 @@ def test_mu_examples():
     assert mu(P5D4, 3) == 4
 
 
-def test_mu_sum_kernel_against_lexicographic_reference():
+def test_delta_count_against_lexicographic_reference():
     # windows across multiples of tau_den, p, p^2 and p^3, single columns
     # and whole windows, from lo = 0, and empty ranges
     for params in full_grid():
-        p, d, td = params.p, params.d, params.tau_den
+        p, td = params.p, params.tau_den
         reference = {}
 
         def ref(lo, hi):
             for i in range(lo + 1, hi + 1):
                 if i not in reference:
-                    reference[i] = ((p + 1) * i // d
-                                    + delta_lexicographic(params, i))
+                    reference[i] = delta_lexicographic(params, i)
             return sum(reference[i] for i in range(lo + 1, hi + 1))
 
         for k in (td, p, td * p, p**2, p**3, td * p**3):
             lo, hi = max(0, k - 2 * td - 1), k + 2 * td + 1
-            assert mu_sum(params, lo, hi) == ref(lo, hi), (params, k)
+            assert delta_count(params, lo, hi) == ref(lo, hi), (params, k)
             for i in range(lo + 1, hi + 1):
-                assert mu_sum(params, i - 1, i) == ref(i - 1, i), (params, i)
-        assert mu_sum(params, 0, 3 * p * td) == ref(0, 3 * p * td), params
-        assert mu_sum(params, 0, 0) == mu_sum(params, 9, 9) == 0
-        assert mu_sum(params, 9, 4) == 0
+                assert (delta_count(params, i - 1, i)
+                        == ref(i - 1, i)), (params, i)
+        assert delta_count(params, 0, 3 * p * td) == ref(0, 3 * p * td), params
+        assert delta_count(params, 0, 0) == delta_count(params, 9, 9) == 0
+        assert delta_count(params, 9, 4) == 0
         with pytest.raises(ValueError):
-            mu_sum(params, -1, 2)
+            delta_count(params, -1, 2)
+
+
+def test_tau_floors_closed_form_against_direct_sum():
+    # every d | p - 1 (d = 1 and d = 2 among them) for the odd primes to
+    # 61, n over three blocks of d columns and into the fourth
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for d in divisors(p - 1):
+            params = TowerParams(p, d, 1)
+            total = 0
+            for n in range(3 * d + 2):
+                total += (p + 1) * n // d
+                assert _tau_floors(params, n) == total, (p, d, n)
 
 
 # a power of p inside each 10^5-column window
 LONG_WINDOW_CENTRE = {5: 5**8, 13: 13**5}
 
 
-def test_mu_sum_residue_walk_against_columnwise_loop():
+def mu_sum_by_walker(params, lo, hi):
+    """sum_{lo < i <= hi} mu(i) as brute force forms it: the closed floor
+    sum and the delta walker."""
+    return (_tau_floors(params, hi) - _tau_floors(params, lo)
+            + delta_count(params, lo, hi))
+
+
+def test_delta_count_and_floors_against_columnwise_loop():
     # short windows next to multiples of p, windows of about 16p columns,
     # windows spanning several powers of p, and 10^5 columns, so that the
     # deeper levels hold no column, a few, or many
@@ -142,7 +168,7 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
                 centre = LONG_WINDOW_CENTRE[p]
                 windows.append((centre - 5 * 10**4, centre + 5 * 10**4))
             for lo, hi in windows:
-                assert (mu_sum(params, lo, hi)
+                assert (mu_sum_by_walker(params, lo, hi)
                         == mu_sum_columnwise(params, lo, hi)), (p, d, lo, hi)
     # large d, (p - 1)/2 and p - 1: windows of about 16p columns across p^2
     for p, ds in ((1031, (515, 1030)), (10007, (5003, 10006))):
@@ -150,7 +176,7 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
             params = TowerParams(p, d, 1)
             lo = p**2 - 8 * p
             for width in (16 * p - 1, 16 * p, 16 * p + 1, 16 * p + 3):
-                assert (mu_sum(params, lo, lo + width)
+                assert (mu_sum_by_walker(params, lo, lo + width)
                         == mu_sum_columnwise(params, lo, lo + width)), (p, d, width)
     # a huge p: windows of up to five columns at 0 and just below p, p^2
     # and p^3, where the deeper levels hold one column or none
@@ -159,7 +185,7 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
         params = TowerParams(p, d, 1)
         for lo in (0, p - 3, p**2 - 2, p**3 - 1):
             for width in range(6):
-                assert (mu_sum(params, lo, lo + width)
+                assert (mu_sum_by_walker(params, lo, lo + width)
                         == mu_sum_columnwise(params, lo, lo + width)), (d, lo, width)
     # windows of p - 1, p and p + 1 columns across p^2: level 1 holds the
     # one column p, and level 2 the column 1
@@ -167,7 +193,7 @@ def test_mu_sum_residue_walk_against_columnwise_loop():
     params = TowerParams(p, 2, 1)
     for width in (p - 1, p, p + 1):
         lo = p**2 - width // 2
-        assert (mu_sum(params, lo, lo + width)
+        assert (mu_sum_by_walker(params, lo, lo + width)
                 == mu_sum_columnwise(params, lo, lo + width)), width
 
 
@@ -190,7 +216,7 @@ def test_one_comparison_delta_test_matches_the_digit_form():
             assert ((num % d) * p > num % dp) == (
                 num % d * step > num // d % p), (p, d, num)
         # p = 1 (mod d), so on a multiple of p, num mod d*p is p*(num mod d):
-        # the test reads 0, and `mu_sum` counts its delta at the next level
+        # the test reads 0, and `delta_count` counts its delta a level up
         for num in range(0, dp, p):
             assert num % d * p <= num % dp, (p, d, num)
 

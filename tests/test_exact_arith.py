@@ -11,14 +11,12 @@ from anum import (
     TowerParams,
     digit,
     divisors,
-    floor_pn_mod,
     format_rational,
-    frac_part_pn,
     is_prime,
     multiplicative_order,
     p_adic_decompose,
 )
-from anum.exact_arith import PRIME_LIMIT
+from anum.exact_arith import PRIME_LIMIT, floor_pn_mod, frac_part_pn
 from helpers import digit_average, longdiv_delay_period, p_adic_value
 
 

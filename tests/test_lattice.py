@@ -1,6 +1,7 @@
 """Brute-force counters against hand counts, per-point oracles, and the
 triangle identity."""
 
+import importlib
 import math
 import random
 import warnings
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import anum.exact_arith
 import anum.lattice
 from anum import (
     BudgetExceededError,
@@ -64,6 +66,27 @@ def test_count_delta_region_examples():
     assert count_delta_region(P5D4R1, 1) == 1
     # empty column range
     assert count_delta_region(TowerParams(3, 1, 1), 1) == 0
+
+
+def test_brute_force_reads_no_split_form_piece(monkeypatch):
+    # brute force is the reference for the split forms, so it takes its
+    # floors from its own closed form and calls neither their floor sums
+    # nor P0
+    def split_form_piece(*args):
+        raise AssertionError("brute force called a split-form piece")
+
+    delta_module = importlib.import_module("anum.delta")
+    for module in (anum.lattice, anum.exact_arith, delta_module):
+        for name in ("_floor_sum", "p0"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, split_form_piece)
+    with pytest.raises(AssertionError):
+        sum_decomposition(P5D4R2, 2)
+    assert a_number_bruteforce(P5D4R2, 2).total == 120
+    for params in small_grid():
+        for n in (1, 2):
+            assert (count_delta_region(params, n)
+                    == count_delta_region_pointwise(params, n)), (params, n)
 
 
 def test_per_point_and_per_column_agree():
@@ -244,7 +267,7 @@ def test_edge_draw_brute_force_matches_split_forms_and_closed_form():
     # every n within a budget of 2 * 10^5 columns: brute force against the
     # split forms, and past the delay against the closed form where the
     # build's period L is at most 250; the huge p counts one column at n = 1,
-    # the others reach mu_sum's deeper p-adic levels once n is large
+    # the others reach delta_count's deeper p-adic levels once n is large
     valuations, closed = set(), 0
     for p, d, r in _edge_cells():
         params = TowerParams(p, d, r)
