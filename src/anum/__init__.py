@@ -26,6 +26,7 @@ from .closed_form import (
     minimal_nu_period,
     model_to_dict,
     nu_value,
+    sum_decomposition,
 )
 from .delta import (
     TowerParams,
@@ -52,7 +53,6 @@ from .lattice import (
     a_number_bruteforce,
     count_delta_region,
     last_column,
-    sum_decomposition,
     t_n,
     triangle_lattice_count,
 )

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .closed_form import closed_model, lambda_r, minimal_nu_period
+from .closed_form import (closed_model, lambda_r, minimal_nu_period,
+                          sum_decomposition)
 from .delta import TowerParams, _require_ints
 from .errors import InvariantViolationError
 from .exact_arith import multiplicative_order
-from .lattice import sum_decomposition
 
 
 class PeriodReport(namedtuple(

@@ -9,15 +9,14 @@ delta with the raw digit comparison `delta_lexicographic`, mu with floor
 arithmetic plus `delta_lexicographic`, `delta0_average` with the direct
 sum of delta0 over one period, and the closed form with brute force.
 
-The split forms share only P0, the floor-sum prefix of delta0
-(`delta.p0`), with the closed form; the shift, reflection and average
-laws check delta0 itself by the column test, in one pass of
-6 * tau_den * p scalar reads: the first period is read once into bytes,
-the reflection and the average are taken from it, and the next five
-periods are compared with it as they are read.  The tests check P0
-against its running sum.  `floor_sum_closed` and `delta_sum_closed` are
-these split forms one sum at a time, so the bench's `split_sum` oracle
-shares only P0 with the build it checks.
+The split forms (`floor_sum_closed` and `delta_sum_closed`, which both
+`sum_decomposition` and the bench's `split_sum` oracle add up) share only
+P0, the floor-sum prefix of delta0 (`delta.p0`), with the closed form; the
+shift, reflection and average laws check delta0 itself by the column
+test, in one pass of 6 * tau_den * p scalar reads: the first period is
+read once into bytes, the reflection and the average are taken from it,
+and the next five periods are compared with it as they are read.  The
+tests check P0 against its running sum.
 """
 
 from __future__ import annotations
@@ -25,23 +24,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .closed_form import closed_model, delta_sum_linear_coeff, evaluate
+from .closed_form import (closed_model, delta_sum_linear_coeff, evaluate,
+                          sum_decomposition)
 from .delta import (
     TowerParams,
     delta,
     delta0,
     delta0_average,
+    delta_count,
     delta_lexicographic,
     delta_tilde,
     mu,
     require_budget,
 )
-from .lattice import (
-    a_number_bruteforce,
-    last_column,
-    sum_decomposition,
-    triangle_lattice_count,
-)
+from .lattice import a_number_bruteforce, last_column, triangle_lattice_count
 
 
 def checks(params: TowerParams, n_max: int, budget: int | None):
@@ -116,10 +112,11 @@ def checks(params: TowerParams, n_max: int, budget: int | None):
             if n >= model.delay and evaluate(model, n) != brute.total:
                 return False
             points = triangle_lattice_count(params, n, budget)
-            boundary = sum(1 - delta_tilde(params, i)
-                           for i in range(brute.t_n + 1,
-                                          last_column(params, n) + 1))
-            return brute.total == points - last_column(params, n) - 1 + boundary
+            # sum of 1 - delta_tilde: delta_tilde = 1 and delta = 0 at td | i
+            t, last = brute.t_n, last_column(params, n)
+            boundary = ((last - t) - delta_count(params, t, last)
+                        - (last // td - t // td))
+            return brute.total == points - last - 1 + boundary
         return check
 
     for n in range(1, n_max + 1):

@@ -29,7 +29,8 @@ reads fp and m_e mod x_den (`_a_value`), and g(e) = P0(m_e) - <delta0>
 coefficient and B(x, n) = sum_{e<=n} g(e) - <delta0>/((p-1) x) - c n as
 the residue, and `test_residue_tables_match_direct_evaluation` certifies
 both against `floor_sum_closed` and `delta_sum_closed`, the split forms of
-the two sums, which read none of A, F and g.
+the two sums, which read none of A, F and g; `sum_decomposition` adds
+four of them up into the count.
 
 On the tau side the linear coefficient vanishes identically, so the count
 
@@ -73,7 +74,7 @@ from .exact_arith import (
     multiplicative_order,
     p_adic_decompose,
 )
-from .lattice import _delta_prefix
+from .lattice import ANumberBreakdown, last_column, t_n
 
 
 def _a_value(x: Fraction, fp: Fraction, m: int) -> Fraction:
@@ -113,6 +114,8 @@ def floor_sum_closed(x: Fraction | int, p: int, n: int) -> int:
     form M p^n - sum_{i<=M} floor(x*i), one Euclid-like floor sum.
     Requires v_p(x) >= 0 (true for both tau and gamma)."""
     x = Fraction(x)
+    if x.numerator <= 0:  # a Fraction keeps its sign in the numerator
+        raise ValueError(f"x must be positive, got {x}")
     if x.denominator % p == 0:
         raise ValueError(f"x must have non-negative p-adic valuation, got {x}")
     if n < 0:
@@ -145,12 +148,25 @@ def _delta_slope(x: Fraction | int, params: TowerParams) -> Fraction:
     """x as a Fraction, once checked x >= 1 with denominator tau_den (tau
     and gamma qualify), so v_p(x) >= 0: the delta side's domain."""
     x = Fraction(x)
-    if x < 1:
+    if x.numerator < x.denominator:  # x < 1
         raise ValueError(f"x must be >= 1, got {x}")
     if x.denominator != params.tau_den:
         raise ValueError(f"denominator of x must equal {params.tau_den}, "
                          f"got {x.denominator}")
     return x
+
+
+def _delta_prefix(params: TowerParams, count: int) -> int:
+    """sum_{1 <= i <= count} delta(i) in O(log_p count) reads of P0.
+
+    delta(i*p) = delta(i) and delta0 = delta off the multiples of p, so the
+    sum is P0(count) + P0(count // p) + P0(count // p^2) + ...
+    """
+    p, total = params.p, 0
+    while count:
+        total += p0(params, count)
+        count //= p
+    return total
 
 
 def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> int:
@@ -160,6 +176,33 @@ def delta_sum_closed(x: Fraction | int, params: TowerParams, n: int) -> int:
         raise ValueError(f"n must be non-negative, got {n}")
     x = _delta_slope(x, params)
     return _delta_prefix(params, params.p**n * x.denominator // x.numerator)
+
+
+def sum_decomposition(params: TowerParams, n: int) -> ANumberBreakdown:
+    """The two split forms of the region count, in O(n) big-integer
+    operations.  First: sum of (gamma-tau)*i over i <= t_n, plus the
+    heights p^n - floor(tau*i) for t_n < i <= floor(p^n/tau).  Second:
+    S_floor(tau, n) - S_floor(gamma, n).  Both less the same delta sum
+    S_delta(tau, n) - S_delta(gamma, n); they must agree."""
+    p, d, r = params.p, params.d, params.r
+    t = t_n(params, n)
+    last = last_column(params, n)
+    floor_bracket = (floor_sum_closed(params.tau, p, n)
+                     - floor_sum_closed(params.gamma, p, n))
+    tail = (delta_sum_closed(params.tau, params, n)
+            - delta_sum_closed(params.gamma, params, n))
+    second_form = floor_bracket - tail
+
+    head = r * (p - 1) // d * t * (t + 1) // 2
+    mid = (last - t) * p**n - _floor_sum(last - t, d, p + 1, (p + 1) * (t + 1))
+    first_form = head + mid - tail
+
+    if first_form != second_form:
+        raise InvariantViolationError(
+            f"the two split forms disagree at n={n}: {first_form} vs {second_form}")
+    return ANumberBreakdown(n=n, t_n=t, triangle_term=head,
+                            delta_region_count=mid - tail, total=second_form,
+                            floor_sum_form=(floor_bracket, tail))
 
 
 @lru_cache(maxsize=128)

@@ -1,27 +1,24 @@
-"""Brute-force counters for the region and its bounding triangle, and the
-split forms of the same count.
+"""Brute-force counters for the region and its bounding triangle.
 
-The counters are the ground truth that every closed form in the package
-is tested against.  Brute force takes the triangle bulk and the floors
+The counters are the ground truth that every other form in the package
+is tested against, so this module imports no split form and no P0; those
+live in `closed_form`.  Brute force takes the triangle bulk and the floors
 of tau*i in closed form and walks only the delta-region columns
 t_n < i <= floor(p^n/tau), O(d * p^n * (1/(p+1) - 1/((p-1)r + p + 1)))
 of them, in one `delta.delta_count` call at about 99 ns a column
 (`lattice.ns_per_column`, `bench/run.py --workload query --seed 7
 --trace 1`, 2 vCPUs).  All enumeration is guarded by an explicit column
 budget so a mistyped n fails fast instead of hanging; a count that a
-cheap bound already puts past the budget is refused before p^n is
-formed.  The split forms (floor sums minus delta sums) are evaluated,
-not enumerated: O(n) big-integer operations, with no budget.
+cheap bound already puts past the budget is refused before p^n is formed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .delta import (TowerParams, _budget_error, _more_than, delta_count, p0,
+from .delta import (TowerParams, _budget_error, _more_than, delta_count,
                     require_budget)
-from .errors import InvariantViolationError
-from .exact_arith import _budget_limit, _floor_sum
+from .exact_arith import _budget_limit
 
 
 def _top_bits(x: int, e: int) -> tuple[int, int]:
@@ -158,48 +155,3 @@ def triangle_lattice_count(params: TowerParams, n: int,
         count += pn + 1 - max(-(-(p + 1) * x // d), pn - step * x)
     return count
 
-
-def _delta_prefix(params: TowerParams, count: int) -> int:
-    """sum_{1 <= i <= count} delta(i) in O(log_p count) reads of P0.
-
-    delta(i*p) = delta(i) and delta0 = delta off the multiples of p, so the
-    sum is P0(count) + P0(count // p) + P0(count // p^2) + ...
-    """
-    p, total = params.p, 0
-    while count:
-        total += p0(params, count)
-        count //= p
-    return total
-
-
-def sum_decomposition(params: TowerParams, n: int) -> ANumberBreakdown:
-    """The two split forms of the region count, evaluated with O(n)
-    big-integer operations and no enumeration.
-
-    First form: sum of (gamma-tau)*i over i <= t_n, plus the heights
-    p^n - floor(tau*i) for t_n < i <= floor(p^n/tau), minus the delta sum
-    on that range.  Second form: the difference of two full floor sums
-    minus the same delta sum.  The two must agree.
-    """
-    p, d, r = params.p, params.d, params.r
-    pn = p**n
-    t = t_n(params, n)
-    last = last_column(params, n)
-    step = r * (p - 1) // d
-    gamma_num = (p - 1) * r + p + 1  # gamma = gamma_num / d
-
-    head = step * t * (t + 1) // 2
-    mid = (last - t) * pn - _floor_sum(last - t, d, p + 1, (p + 1) * (t + 1))
-    tail = _delta_prefix(params, last) - _delta_prefix(params, t)
-    first_form = head + mid - tail
-
-    floor_bracket = ((last * pn - _floor_sum(last, d, p + 1, p + 1))
-                     - (t * pn - _floor_sum(t, d, gamma_num, gamma_num)))
-    second_form = floor_bracket - tail
-
-    if first_form != second_form:
-        raise InvariantViolationError(
-            f"the two split forms disagree at n={n}: {first_form} vs {second_form}")
-    return ANumberBreakdown(n=n, t_n=t, triangle_term=head,
-                            delta_region_count=mid - tail, total=second_form,
-                            floor_sum_form=(floor_bracket, tail))

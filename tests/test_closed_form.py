@@ -80,6 +80,12 @@ def test_floor_sum_closed_rejects_negative_valuation():
         floor_sum_closed(Fraction(2, 5), 5, 1)
 
 
+@pytest.mark.parametrize("x", [0, -1, Fraction(-3, 2)])
+def test_floor_sum_closed_rejects_non_positive_slope(x):
+    with pytest.raises(ValueError, match="x must be positive"):
+        floor_sum_closed(x, 5, 2)
+
+
 def test_floor_bracket_residues_pinned():
     quad = Fraction(4, 21)
     linear = Fraction(2, 21)
@@ -192,8 +198,9 @@ def test_delta_sum_pinned_residues():
 
 def test_split_sums_read_no_residue_code(monkeypatch):
     # floor_sum_closed and delta_sum_closed are the split forms, the oracle
-    # the bench checks builds against: they must not reach A, F, g or the
-    # p^n digit helpers that the residue tables read
+    # the bench checks builds against, and sum_decomposition adds them up:
+    # none may reach A, F, g or the p^n digit helpers that the residue
+    # tables read, though they share a module
     def unreachable(*args):
         raise AssertionError(f"a split sum reached the residue code: {args}")
 
@@ -216,6 +223,25 @@ def test_split_sums_read_no_residue_code(monkeypatch):
                             == naive_floor_sum(x, p, n)), (p, d, r, x, n)
                     assert (delta_sum_closed(x, params, n) == naive_delta_sum(
                         params, floor_inv_pn(x, p, n))), (p, d, r, x, n)
+            for n in range(0, 4):
+                tau, gamma = params.tau, params.gamma
+                expected = (naive_floor_sum(tau, p, n)
+                            - naive_floor_sum(gamma, p, n)
+                            - naive_delta_sum(params, floor_inv_pn(tau, p, n))
+                            + naive_delta_sum(params, floor_inv_pn(gamma, p, n)))
+                assert (sum_decomposition(params, n).total
+                        == expected), (p, d, r, n)
+
+
+def test_planted_split_form_fault_raises(monkeypatch):
+    # one more lattice point under every floor sum: the second form's two
+    # floor sums cancel it, the first form's one does not
+    floor_sum = anum.closed_form._floor_sum
+    monkeypatch.setattr(anum.closed_form, "_floor_sum",
+                        lambda *args: floor_sum(*args) + 1)
+    with pytest.raises(InvariantViolationError,
+                       match="two split forms disagree at n=2"):
+        sum_decomposition(P5D4R2, 2)
 
 
 def test_closed_sums_certified_by_split_form_oracle():

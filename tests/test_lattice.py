@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import anum.closed_form
 import anum.exact_arith
 import anum.lattice
 from anum import (
@@ -30,8 +31,8 @@ from anum import (
     triangle_lattice_count,
 )
 from anum.delta import _count_text
+from anum.closed_form import _delta_prefix
 from anum.exact_arith import _floor_sum
-from anum.lattice import _delta_prefix
 from helpers import (
     count_delta_region_pointwise,
     count_tilde_delta,
@@ -71,13 +72,16 @@ def test_count_delta_region_examples():
 def test_brute_force_reads_no_split_form_piece(monkeypatch):
     # brute force is the reference for the split forms, so it takes its
     # floors from its own closed form and calls neither their floor sums
-    # nor P0
+    # nor P0; its module does not even bind them
+    pieces = ("_floor_sum", "p0", "_delta_prefix", "sum_decomposition")
+    assert [name for name in pieces if hasattr(anum.lattice, name)] == []
+
     def split_form_piece(*args):
         raise AssertionError("brute force called a split-form piece")
 
     delta_module = importlib.import_module("anum.delta")
-    for module in (anum.lattice, anum.exact_arith, delta_module):
-        for name in ("_floor_sum", "p0"):
+    for module in (anum.exact_arith, delta_module, anum.closed_form):
+        for name in pieces:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, split_form_piece)
     with pytest.raises(AssertionError):
